@@ -1,4 +1,4 @@
-//! Indexed EFT dispatch: O(log m) machine selection over compact
+//! Indexed EFT dispatch: lane-indexed machine selection over compact
 //! processing sets.
 //!
 //! The scalar [`EftState`] evaluates Equation (2) by scanning every
@@ -7,19 +7,32 @@
 //! cost the structure makes avoidable. [`IndexedEftState`] exploits the
 //! compact [`ProcSetRef`] shapes arrival streams now lend:
 //!
-//! - **Interval / prefix / ring sets** are one or two index ranges, so a
-//!   *leftmost-argmin segment tree* ([`MinTree`]) over the machine
-//!   completion times answers `min_{j∈Mᵢ} C_j` with a range-min query
-//!   and finds the picked machine by bound-pruned descent — O(log m)
-//!   per task for `Min`/`Max` tie-breaks, O(|U'ᵢ| log m) for `Rand`
-//!   (which must enumerate the whole tie set to reproduce the
-//!   `Breaker::pick` RNG contract: one `random_range(0..|U'ᵢ|)` draw).
+//! - **Interval / prefix / ring sets** are one or two index ranges,
+//!   answered by a *lane index*. The [`CompletionBank`]'s 64-byte,
+//!   [`LANE`]-wide lanes are its leaf level: a binary min-tree stores
+//!   only the ⌈m/8⌉ lane minima (2·next_pow2(⌈m/8⌉) `f64`, ~2 MiB at
+//!   m = 2²⁰, against 16 MiB for a tree over every machine, and three
+//!   levels shorter). A range is cut at
+//!   lane edges: the partial head and tail lanes are scanned in the
+//!   bank with the 8-wide kernels, the whole lanes between them are
+//!   answered by the tree, and a descent ends with one scan inside the
+//!   chosen lane. A range spanning at most two lanes never touches the
+//!   tree. The search runs at the release first: when some member is
+//!   already free, `U'ᵢ = {j : C_j ≤ rᵢ}` and the range minimum is never
+//!   needed; otherwise the failed search reports that minimum and a
+//!   second search runs at it. `Min`/`Max` tie-breaks search for the
+//!   leftmost/rightmost qualifying machine; `Rand` (which must enumerate
+//!   the whole tie set to reproduce the `Breaker::pick` RNG contract:
+//!   one `random_range(0..|U'ᵢ|)` draw) collects the head lane, then the
+//!   tree's qualifying lanes, then the tail lane — ascending order.
 //! - **Explicit sets** go through a cluster index: the first time a
 //!   member slice is seen, its machines are claimed and a per-cluster
 //!   binary min-heap of completions is built (the disjoint-family case,
 //!   Cor. 1 workloads); later tasks on the same set run in
 //!   O(|U'ᵢ| log k). Sets that overlap a claimed cluster fall back to
 //!   the fused scalar scan — correctness never depends on detection.
+//!   The machine → cluster map is allocated on the first explicit set,
+//!   so interval-only runs never pay for it.
 //!
 //! Every path computes the exact tie set `U'ᵢ` in ascending machine
 //! order and feeds it through the same [`Breaker`], so schedules (and,
@@ -27,13 +40,18 @@
 //! bitwise-identical to the scalar kernel — pinned by
 //! `tests/kernel_equivalence.rs`.
 //!
-//! Staleness discipline: machine completions only ever *increase*, so a
-//! heap entry is allowed to understate its machine's completion. Both
-//! lazy structures rely on this — the segment tree is updated eagerly
-//! on every commit, while cluster heap entries self-heal on peek
-//! (a stale top is re-keyed and re-sifted; an accurate top is the true
-//! minimum because every other entry understates or equals its own,
-//! later, completion).
+//! Staleness discipline: machine completions only ever *increase*.
+//! The lane index is exact and updated on every commit: the committed
+//! machine's lane minimum is recomputed from its (hot) cache line and
+//! pushed up the tree until a parent's minimum stops changing — a rise
+//! on a machine that was not its lane's (or subtree's) unique minimum
+//! stops after one level. Cluster heap entries are lazy instead and
+//! self-heal on peek: an entry may understate its machine's completion,
+//! a stale top is re-keyed and re-sifted, and an accurate top is the
+//! true minimum because every other entry understates or equals its
+//! own, later, completion.
+
+use std::ops::Range;
 
 use flowsched_core::compact::ProcSetRef;
 use flowsched_core::machine::MachineId;
@@ -44,7 +62,7 @@ use flowsched_core::time::Time;
 
 use crate::adaptive::AdaptiveEftState;
 use crate::eft::{scan_ties, EftState, ImmediateDispatcher};
-use crate::soa::{scan_ties_simd, CompletionBank, ScanImpl, SoaMinHeap};
+use crate::soa::{collect_le, min_in, scan_ties_simd, CompletionBank, ScanImpl, SoaMinHeap, LANE};
 use crate::tiebreak::{Breaker, TieBreak};
 
 /// Decision counters of the indexed kernel — which path served each
@@ -59,7 +77,7 @@ use crate::tiebreak::{Breaker, TieBreak};
 /// means interval and explicit traffic interleave on the same machines.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Dispatches answered by the segment tree or a cluster heap.
+    /// Dispatches answered by the lane index or a cluster heap.
     pub indexed_descents: u64,
     /// Explicit-set dispatches that fell back to the scalar tie scan.
     pub scalar_fallback_scans: u64,
@@ -93,7 +111,7 @@ pub enum DispatchKernel {
     /// incrementally, and re-resolve through
     /// [`for_structure`](DispatchKernel::for_structure) after a warmup
     /// window and on classification changes
-    /// ([`AdaptiveEftState`](crate::adaptive::AdaptiveEftState)).
+    /// ([`AdaptiveEftState`]).
     /// When the stream offers a
     /// [`structure_hint`](flowsched_core::stream::ArrivalStream::structure_hint),
     /// [`resolve_for_stream`](DispatchKernel::resolve_for_stream)
@@ -102,7 +120,7 @@ pub enum DispatchKernel {
     Auto,
     /// Force the member-scan oracle ([`EftState`]).
     Scalar,
-    /// Force the segment-tree / cluster-heap kernel
+    /// Force the lane-index / cluster-heap kernel
     /// ([`IndexedEftState`]).
     Indexed,
 }
@@ -187,22 +205,23 @@ pub fn indexed_min_width(m: usize) -> usize {
     2 * (usize::BITS - m.leading_zeros()) as usize
 }
 
-/// Upper bound on segment-tree depth (and canonical-decomposition node
+/// Upper bound on min-tree depth (and canonical-decomposition node
 /// count per side): `leaves ≤ 2^63` on a 64-bit target, so fixed
 /// stack-allocated node buffers of this size never overflow.
 const MAX_TREE_DEPTH: usize = 64;
 
-/// A segment tree over machine completion times supporting point
-/// update, range minimum, and bound-pruned leftmost/rightmost/collect
-/// descent — the index behind [`IndexedEftState`].
+/// A binary min-tree over a fixed row of values supporting point
+/// update and bound-pruned leftmost/rightmost/collect descent (a failed
+/// leftmost/rightmost search doubles as the range-minimum query). Its
+/// leaves are the lane minima of a [`LaneIndex`].
 ///
 /// Leaves are padded to a power of two with `+∞` so every internal node
-/// has two children; leaf `j` lives at `leaves + j` in the flattened
-/// 1-based array (parent `i`, children `2i`/`2i+1` — the
+/// has two children; leaf `i` lives at `leaves + i` in the flattened
+/// 1-based array (parent `n`, children `2n`/`2n+1` — the
 /// prefetch-friendly Eytzinger layout, no pointers).
 ///
 /// The descents are *branchless*: a query range `[lo, hi]` is first
-/// decomposed bottom-up into its O(log m) canonical nodes (pure index
+/// decomposed bottom-up into its O(log n) canonical nodes (pure index
 /// arithmetic, no value-dependent branches), and the in-subtree walk to
 /// a qualifying leaf is an arithmetic child-select —
 /// `node = 2·node + (vals[2·node] > bound)` — with no data-dependent
@@ -214,12 +233,12 @@ struct MinTree {
 }
 
 impl MinTree {
-    /// Tree over `m` machines, all completions 0.
-    fn new(m: usize) -> Self {
-        let leaves = m.next_power_of_two();
+    /// Tree over the given leaf values.
+    fn from_values(values: impl ExactSizeIterator<Item = Time>) -> Self {
+        let leaves = values.len().next_power_of_two();
         let mut vals = vec![f64::INFINITY; 2 * leaves];
-        for v in &mut vals[leaves..leaves + m] {
-            *v = 0.0;
+        for (slot, v) in vals[leaves..].iter_mut().zip(values) {
+            *slot = v;
         }
         for i in (1..leaves).rev() {
             vals[i] = vals[2 * i].min(vals[2 * i + 1]);
@@ -227,23 +246,10 @@ impl MinTree {
         MinTree { leaves, vals }
     }
 
-    /// Tree seeded from an existing completion slice (what a mid-stream
-    /// kernel switch rebuilds the index from).
-    fn from_values(completions: &[Time]) -> Self {
-        let mut t = MinTree::new(completions.len());
-        for (j, &v) in completions.iter().enumerate() {
-            t.vals[t.leaves + j] = v;
-        }
-        for i in (1..t.leaves).rev() {
-            t.vals[i] = t.vals[2 * i].min(t.vals[2 * i + 1]);
-        }
-        t
-    }
-
     /// Canonical-node decomposition of `[lo, hi]` (inclusive): the
     /// disjoint maximal subtrees covering the range, written into
     /// `nodes` in ascending leaf-position order. Pure index arithmetic —
-    /// the value-dependent work happens only after, on the O(log m)
+    /// the value-dependent work happens only after, on the O(log n)
     /// canonical roots.
     fn decompose(&self, lo: usize, hi: usize, nodes: &mut [usize; MAX_TREE_DEPTH]) -> usize {
         let (mut l, mut r) = (self.leaves + lo, self.leaves + hi + 1);
@@ -296,64 +302,61 @@ impl MinTree {
         node - self.leaves
     }
 
-    /// Sets machine `j`'s completion to `v` and refreshes its ancestors.
-    fn update(&mut self, j: usize, v: Time) {
-        let mut i = self.leaves + j;
-        self.vals[i] = v;
-        while i > 1 {
-            i /= 2;
-            self.vals[i] = self.vals[2 * i].min(self.vals[2 * i + 1]);
+    /// Sets leaf `i` to `v` and refreshes its ancestors, stopping at the
+    /// first node whose minimum does not change (nothing above it can).
+    fn update(&mut self, i: usize, v: Time) {
+        let mut n = self.leaves + i;
+        if self.vals[n] == v {
+            return;
+        }
+        self.vals[n] = v;
+        while n > 1 {
+            n /= 2;
+            let min = self.vals[2 * n].min(self.vals[2 * n + 1]);
+            if self.vals[n] == min {
+                return;
+            }
+            self.vals[n] = min;
         }
     }
 
-    /// `min_{lo ≤ j ≤ hi} C_j` (inclusive bounds).
-    fn range_min(&self, lo: usize, hi: usize) -> Time {
-        let (mut l, mut r) = (self.leaves + lo, self.leaves + hi + 1);
-        let mut best = f64::INFINITY;
-        while l < r {
-            if l & 1 == 1 {
-                best = best.min(self.vals[l]);
-                l += 1;
-            }
-            if r & 1 == 1 {
-                r -= 1;
-                best = best.min(self.vals[r]);
-            }
-            l /= 2;
-            r /= 2;
-        }
-        best
-    }
-
-    /// Smallest `j ∈ [lo, hi]` with `C_j ≤ bound`: scan the canonical
+    /// Smallest `i ∈ [lo, hi]` with `leaf_i ≤ bound`: scan the canonical
     /// nodes in ascending order for the first whose min qualifies, then
-    /// descend branchlessly inside it.
-    fn leftmost_le(&self, lo: usize, hi: usize, bound: Time) -> Option<usize> {
+    /// descend branchlessly inside it. When none qualifies, every
+    /// canonical node has been read, and `Err` carries the range minimum.
+    fn leftmost_le(&self, lo: usize, hi: usize, bound: Time) -> Result<usize, Time> {
         let mut nodes = [0usize; MAX_TREE_DEPTH];
         let n = self.decompose(lo, hi, &mut nodes);
-        nodes[..n]
-            .iter()
-            .find(|&&node| self.vals[node] <= bound)
-            .map(|&node| self.descend_leftmost(node, bound))
+        let mut min = f64::INFINITY;
+        for &node in &nodes[..n] {
+            if self.vals[node] <= bound {
+                return Ok(self.descend_leftmost(node, bound));
+            }
+            min = min.min(self.vals[node]);
+        }
+        Err(min)
     }
 
-    /// Largest `j ∈ [lo, hi]` with `C_j ≤ bound`.
-    fn rightmost_le(&self, lo: usize, hi: usize, bound: Time) -> Option<usize> {
+    /// Largest `i ∈ [lo, hi]` with `leaf_i ≤ bound`, or `Err(range min)`.
+    fn rightmost_le(&self, lo: usize, hi: usize, bound: Time) -> Result<usize, Time> {
         let mut nodes = [0usize; MAX_TREE_DEPTH];
         let n = self.decompose(lo, hi, &mut nodes);
-        nodes[..n]
-            .iter()
-            .rev()
-            .find(|&&node| self.vals[node] <= bound)
-            .map(|&node| self.descend_rightmost(node, bound))
+        let mut min = f64::INFINITY;
+        for &node in nodes[..n].iter().rev() {
+            if self.vals[node] <= bound {
+                return Ok(self.descend_rightmost(node, bound));
+            }
+            min = min.min(self.vals[node]);
+        }
+        Err(min)
     }
 
-    /// Appends every `j ∈ [lo, hi]` with `C_j ≤ bound` to `out`, in
-    /// increasing order — O(|result| log m): an iterative bound-pruned
+    /// Calls `f` on every `i ∈ [lo, hi]` with `leaf_i ≤ bound`, in
+    /// increasing order — O(|result| log n): an iterative bound-pruned
     /// DFS (right child pushed first so leaves pop in ascending order)
     /// over each canonical node, on an explicit stack whose depth is
     /// bounded by the tree height.
-    fn collect_le(&self, lo: usize, hi: usize, bound: Time, out: &mut Vec<usize>) {
+    fn for_each_le(&self, lo: usize, hi: usize, bound: Time, mut f: impl FnMut(usize)) {
         let mut nodes = [0usize; MAX_TREE_DEPTH];
         let n = self.decompose(lo, hi, &mut nodes);
         let mut stack = [0usize; MAX_TREE_DEPTH + 1];
@@ -367,7 +370,7 @@ impl MinTree {
                     continue;
                 }
                 if node >= self.leaves {
-                    out.push(node - self.leaves);
+                    f(node - self.leaves);
                     continue;
                 }
                 stack[sp] = 2 * node + 1;
@@ -375,6 +378,150 @@ impl MinTree {
                 sp += 2;
             }
         }
+    }
+}
+
+/// A machine range `[lo, hi]` cut at lane edges: the machines read
+/// straight from the bank (`head`, `tail`) and the whole lanes between
+/// them, which the tree answers. A range spanning at most two lanes is
+/// all `head`, with no lanes and an empty `tail`.
+struct Split {
+    head: Range<usize>,
+    lanes: Option<(usize, usize)>,
+    tail: Range<usize>,
+}
+
+impl Split {
+    fn of(lo: usize, hi: usize) -> Split {
+        let (first, last) = (lo / LANE, hi / LANE);
+        if last - first < 2 {
+            return Split {
+                head: lo..hi + 1,
+                lanes: None,
+                tail: hi + 1..hi + 1,
+            };
+        }
+        Split {
+            head: lo..(first + 1) * LANE,
+            lanes: Some((first + 1, last - 1)),
+            tail: last * LANE..hi + 1,
+        }
+    }
+}
+
+/// Machines of lane `lane` in the padded bank.
+#[inline]
+fn lane_range(lane: usize) -> Range<usize> {
+    lane * LANE..(lane + 1) * LANE
+}
+
+/// The index behind [`IndexedEftState`]'s range queries: a [`MinTree`]
+/// whose leaves are the minima of the [`CompletionBank`]'s lanes. Every
+/// query takes the bank's [`padded`](CompletionBank::padded) view; the
+/// tree only narrows a search down to one lane, which is then scanned.
+///
+/// Invariant: leaf `l` equals the minimum of bank lane `l` (`+∞`
+/// padding included). Ranges reach the tree only through whole lanes
+/// strictly inside the bank's live machines, so the padding — in the
+/// last lane or past it — is never returned.
+#[derive(Debug, Clone)]
+struct LaneIndex {
+    tree: MinTree,
+}
+
+impl LaneIndex {
+    /// Index over a padded bank view (length a multiple of [`LANE`]).
+    fn new(padded: &[Time]) -> Self {
+        LaneIndex {
+            tree: MinTree::from_values(padded.chunks_exact(LANE).map(min_in)),
+        }
+    }
+
+    /// Restores the invariant after machine `j`'s completion changed.
+    #[inline]
+    fn refresh(&mut self, padded: &[Time], j: usize) {
+        let lane = j / LANE;
+        self.tree.update(lane, min_in(&padded[lane_range(lane)]));
+    }
+
+    /// Smallest `j ∈ [lo, hi]` with `C_j ≤ bound`, or — when there is
+    /// none — `Err(min_{lo ≤ j ≤ hi} C_j)`, which the failed search has
+    /// read in full.
+    fn leftmost_le(
+        &self,
+        padded: &[Time],
+        lo: usize,
+        hi: usize,
+        bound: Time,
+    ) -> Result<usize, Time> {
+        let s = Split::of(lo, hi);
+        let mut min = match first_le(padded, s.head, bound) {
+            Ok(j) => return Ok(j),
+            Err(v) => v,
+        };
+        if let Some((a, b)) = s.lanes {
+            match self.tree.leftmost_le(a, b, bound) {
+                Ok(lane) => return first_le(padded, lane_range(lane), bound),
+                Err(v) => min = min.min(v),
+            }
+        }
+        first_le(padded, s.tail, bound).map_err(|v| min.min(v))
+    }
+
+    /// Largest `j ∈ [lo, hi]` with `C_j ≤ bound`, or `Err(range min)`.
+    fn rightmost_le(
+        &self,
+        padded: &[Time],
+        lo: usize,
+        hi: usize,
+        bound: Time,
+    ) -> Result<usize, Time> {
+        let s = Split::of(lo, hi);
+        let mut min = match last_le(padded, s.tail, bound) {
+            Ok(j) => return Ok(j),
+            Err(v) => v,
+        };
+        if let Some((a, b)) = s.lanes {
+            match self.tree.rightmost_le(a, b, bound) {
+                Ok(lane) => return last_le(padded, lane_range(lane), bound),
+                Err(v) => min = min.min(v),
+            }
+        }
+        last_le(padded, s.head, bound).map_err(|v| min.min(v))
+    }
+
+    /// Appends every `j ∈ [lo, hi]` with `C_j ≤ bound` to `out`, in
+    /// increasing order: the head lane, the tree's qualifying lanes,
+    /// then the tail lane.
+    fn collect_le(&self, padded: &[Time], lo: usize, hi: usize, bound: Time, out: &mut Vec<usize>) {
+        let s = Split::of(lo, hi);
+        collect_le(&padded[s.head.clone()], s.head.start, bound, out);
+        if let Some((a, b)) = s.lanes {
+            self.tree.for_each_le(a, b, bound, |lane| {
+                collect_le(&padded[lane_range(lane)], lane * LANE, bound, out)
+            });
+        }
+        collect_le(&padded[s.tail.clone()], s.tail.start, bound, out);
+    }
+}
+
+/// First machine of `range` with `C_j ≤ bound`, or `Err(min)` over it.
+#[inline]
+fn first_le(padded: &[Time], range: Range<usize>, bound: Time) -> Result<usize, Time> {
+    let vals = &padded[range.clone()];
+    match vals.iter().position(|&v| v <= bound) {
+        Some(o) => Ok(range.start + o),
+        None => Err(min_in(vals)),
+    }
+}
+
+/// Last machine of `range` with `C_j ≤ bound`, or `Err(min)` over it.
+#[inline]
+fn last_le(padded: &[Time], range: Range<usize>, bound: Time) -> Result<usize, Time> {
+    let vals = &padded[range.clone()];
+    match vals.iter().rposition(|&v| v <= bound) {
+        Some(o) => Ok(range.start + o),
+        None => Err(min_in(vals)),
     }
 }
 
@@ -392,18 +539,20 @@ struct Cluster {
 const UNOWNED: u32 = u32::MAX;
 
 /// The indexed EFT kernel. Maintains the same per-machine completion
-/// bank ([`CompletionBank`]) as [`EftState`] plus a [`MinTree`] over it
-/// and lazily-built per-cluster heaps for recurring explicit sets.
+/// bank ([`CompletionBank`]) as [`EftState`] plus a lane index over
+/// its lanes and lazily-built per-cluster heaps for recurring explicit
+/// sets.
 #[derive(Debug)]
 pub struct IndexedEftState {
     completions: CompletionBank,
-    tree: MinTree,
+    index: LaneIndex,
     breaker: Breaker,
     /// Which tie-scan implementation the overlap fallback runs.
     scan: ScanImpl,
     /// Scratch buffer for the tie set, reused across dispatches.
     ties: Vec<usize>,
-    /// Machine → cluster id claiming it, or [`UNOWNED`].
+    /// Machine → cluster id claiming it, or [`UNOWNED`]; empty until
+    /// the first explicit set arrives.
     owner: Vec<u32>,
     clusters: Vec<Cluster>,
     stats: KernelStats,
@@ -431,22 +580,22 @@ impl IndexedEftState {
     }
 
     /// Rebuilds a kernel around carried-over machine state — what a
-    /// mid-stream switch to the indexed kernel does. The tree is rebuilt
-    /// from the bank; clusters re-register lazily (they are a cache, not
-    /// state — rebuilding them empty changes no dispatch decision).
+    /// mid-stream switch to the indexed kernel does. The lane index is
+    /// rebuilt from the bank; clusters re-register lazily (they are a
+    /// cache, not state — rebuilding them empty changes no dispatch
+    /// decision).
     pub(crate) fn from_parts(
         completions: CompletionBank,
         breaker: Breaker,
         scan: ScanImpl,
     ) -> Self {
-        let m = completions.len();
         IndexedEftState {
-            tree: MinTree::from_values(completions.values()),
+            index: LaneIndex::new(completions.padded()),
             completions,
             breaker,
             scan,
             ties: Vec::new(),
-            owner: vec![UNOWNED; m],
+            owner: Vec::new(),
             clusters: Vec::new(),
             stats: KernelStats::default(),
         }
@@ -489,75 +638,79 @@ impl IndexedEftState {
             "processing set references a machine out of range"
         );
         let u = match set {
-            ProcSetRef::Interval { lo, hi } => self.pick_in_range(task.release, lo, hi),
-            ProcSetRef::Prefix { len } => self.pick_in_range(task.release, 0, len - 1),
+            ProcSetRef::Interval { lo, hi } => self.pick_in_runs(task.release, &[(lo, hi)]),
+            ProcSetRef::Prefix { len } => self.pick_in_runs(task.release, &[(0, len - 1)]),
             ProcSetRef::Ring { start, len, m } => {
                 // Wrapping segment: ascending members are the wrapped low
                 // run [0, start+len−m−1] then the high run [start, m−1].
-                self.pick_in_two_ranges(task.release, (0, start + len - m - 1), (start, m - 1))
+                self.pick_in_runs(task.release, &[(0, start + len - m - 1), (start, m - 1)])
             }
             ProcSetRef::Explicit(slice) => self.pick_in_cluster(task.release, slice),
         };
         let start = task.release.max(self.completions.get(u));
         let done = start + task.ptime;
         self.completions.set(u, done);
-        self.tree.update(u, done);
+        self.index.refresh(self.completions.padded(), u);
         Assignment::new(MachineId(u), start)
     }
 
-    /// Tie-break over one contiguous range via the tree.
-    fn pick_in_range(&mut self, release: Time, lo: usize, hi: usize) -> usize {
+    /// Tie-break over contiguous runs given in ascending machine order
+    /// (one range, or a wrapping ring's low and high runs).
+    ///
+    /// The tie set `U'ᵢ = {j : C_j ≤ max(rᵢ, min_j C_j)}` is
+    /// `{j : C_j ≤ rᵢ}` whenever some member is already free at the
+    /// release, so that search runs first; only when it comes back empty
+    /// does a second search run at the minimum it reports.
+    fn pick_in_runs(&mut self, release: Time, runs: &[(usize, usize)]) -> usize {
         self.stats.indexed_descents += 1;
-        let t_min = release.max(self.tree.range_min(lo, hi));
-        match pick_mode(&self.breaker) {
-            Pick::Leftmost => self
-                .tree
-                .leftmost_le(lo, hi, t_min)
-                .expect("tie set is nonempty by construction"),
-            Pick::Rightmost => self
-                .tree
-                .rightmost_le(lo, hi, t_min)
-                .expect("tie set is nonempty by construction"),
-            Pick::Enumerate => {
-                self.ties.clear();
-                self.tree.collect_le(lo, hi, t_min, &mut self.ties);
-                self.breaker.pick(&self.ties)
-            }
+        match self.pick_le(runs, release) {
+            Ok(u) => u,
+            Err(min_c) => self
+                .pick_le(runs, min_c)
+                .expect("the minimum's machines tie"),
         }
     }
 
-    /// Tie-break over a wrapping ring segment: two contiguous runs,
-    /// `low` preceding `high` in machine order.
-    fn pick_in_two_ranges(
-        &mut self,
-        release: Time,
-        low: (usize, usize),
-        high: (usize, usize),
-    ) -> usize {
-        self.stats.indexed_descents += 1;
-        let min_c = self
-            .tree
-            .range_min(low.0, low.1)
-            .min(self.tree.range_min(high.0, high.1));
-        let t_min = release.max(min_c);
+    /// The tie-break's pick among the members of `runs` with
+    /// `C_j ≤ bound`, or — with no RNG draw — `Err` of the runs' minimum
+    /// completion when there are none.
+    fn pick_le(&mut self, runs: &[(usize, usize)], bound: Time) -> Result<usize, Time> {
+        let (index, padded) = (&self.index, self.completions.padded());
+        let mut min = f64::INFINITY;
         match pick_mode(&self.breaker) {
-            Pick::Leftmost => self
-                .tree
-                .leftmost_le(low.0, low.1, t_min)
-                .or_else(|| self.tree.leftmost_le(high.0, high.1, t_min))
-                .expect("tie set is nonempty by construction"),
-            Pick::Rightmost => self
-                .tree
-                .rightmost_le(high.0, high.1, t_min)
-                .or_else(|| self.tree.rightmost_le(low.0, low.1, t_min))
-                .expect("tie set is nonempty by construction"),
+            Pick::Leftmost => {
+                for &(lo, hi) in runs {
+                    match index.leftmost_le(padded, lo, hi, bound) {
+                        Ok(j) => return Ok(j),
+                        Err(v) => min = min.min(v),
+                    }
+                }
+            }
+            Pick::Rightmost => {
+                for &(lo, hi) in runs.iter().rev() {
+                    match index.rightmost_le(padded, lo, hi, bound) {
+                        Ok(j) => return Ok(j),
+                        Err(v) => min = min.min(v),
+                    }
+                }
+            }
             Pick::Enumerate => {
                 self.ties.clear();
-                self.tree.collect_le(low.0, low.1, t_min, &mut self.ties);
-                self.tree.collect_le(high.0, high.1, t_min, &mut self.ties);
-                self.breaker.pick(&self.ties)
+                for &(lo, hi) in runs {
+                    index.collect_le(padded, lo, hi, bound, &mut self.ties);
+                }
+                if !self.ties.is_empty() {
+                    return Ok(self.breaker.pick(&self.ties));
+                }
+                // Nothing qualifies, so every search fails and reports
+                // its run's minimum.
+                for &(lo, hi) in runs {
+                    let run_min = index.leftmost_le(padded, lo, hi, bound);
+                    min = min.min(run_min.expect_err("no member is ≤ bound"));
+                }
             }
         }
+        Err(min)
     }
 
     /// Tie-break over an explicit member slice: cluster heap when the
@@ -641,6 +794,9 @@ impl IndexedEftState {
     /// with an existing cluster (different membership or partial
     /// overlap) and must be served by the scalar scan.
     fn cluster_for(&mut self, slice: &[usize]) -> Option<usize> {
+        if self.owner.is_empty() {
+            self.owner = vec![UNOWNED; self.completions.len()];
+        }
         let cid = self.owner[slice[0]];
         if cid != UNOWNED {
             let cid = cid as usize;
@@ -703,7 +859,7 @@ impl ImmediateDispatcher for IndexedEftState {
 pub enum EftKernelState {
     /// The member-scan oracle.
     Scalar(EftState),
-    /// The segment-tree / cluster-heap kernel.
+    /// The lane-index / cluster-heap kernel.
     Indexed(IndexedEftState),
     /// The self-reclassifying wrapper around both.
     Adaptive(AdaptiveEftState),
@@ -774,27 +930,14 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
 
+    /// Tree built the way commits maintain it: all leaves 0, then one
+    /// early-exit update per leaf.
     fn tree_of(vals: &[Time]) -> MinTree {
-        let mut t = MinTree::new(vals.len());
+        let mut t = MinTree::from_values(vals.iter().map(|_| 0.0));
         for (j, &v) in vals.iter().enumerate() {
             t.update(j, v);
         }
         t
-    }
-
-    #[test]
-    fn tree_range_min_matches_scan_on_random_data() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        for m in [1usize, 2, 3, 5, 8, 13, 64, 100] {
-            let vals: Vec<Time> = (0..m).map(|_| rng.random_range(0..50) as f64).collect();
-            let t = tree_of(&vals);
-            for _ in 0..40 {
-                let lo = rng.random_range(0..m);
-                let hi = rng.random_range(lo..m);
-                let expect = vals[lo..=hi].iter().cloned().fold(f64::INFINITY, f64::min);
-                assert_eq!(t.range_min(lo, hi), expect, "m={m} [{lo},{hi}]");
-            }
-        }
     }
 
     #[test]
@@ -808,21 +951,120 @@ mod tests {
                 let hi = rng.random_range(lo..m);
                 let bound = rng.random_range(0..9) as f64 - 0.5;
                 let expect: Vec<usize> = (lo..=hi).filter(|&j| vals[j] <= bound).collect();
+                let min = vals[lo..=hi].iter().cloned().fold(f64::INFINITY, f64::min);
                 assert_eq!(
                     t.leftmost_le(lo, hi, bound),
-                    expect.first().copied(),
+                    expect.first().copied().ok_or(min),
                     "leftmost m={m} [{lo},{hi}] ≤{bound}"
                 );
                 assert_eq!(
                     t.rightmost_le(lo, hi, bound),
-                    expect.last().copied(),
+                    expect.last().copied().ok_or(min),
                     "rightmost m={m} [{lo},{hi}] ≤{bound}"
                 );
                 let mut got = Vec::new();
-                t.collect_le(lo, hi, bound, &mut got);
+                t.for_each_le(lo, hi, bound, |j| got.push(j));
                 assert_eq!(got, expect, "collect m={m} [{lo},{hi}] ≤{bound}");
             }
         }
+    }
+
+    /// `[lo, hi]` pairs that start or end on lane edges, or cover one,
+    /// two, three or all lanes, plus random ones.
+    fn lane_ranges(m: usize, rng: &mut rand::rngs::StdRng) -> Vec<(usize, usize)> {
+        let mut out = vec![(0, m - 1)];
+        let lanes = m.div_ceil(LANE);
+        for first in 0..lanes {
+            for span in 1..=3 {
+                let lo = first * LANE;
+                let hi = ((first + span) * LANE).min(m) - 1;
+                out.push((lo, hi));
+                out.push((lo + (hi - lo) / 2, hi));
+                out.push((lo, lo + (hi - lo) / 2));
+                if hi > lo + 1 {
+                    out.push((lo + 1, hi - 1));
+                }
+            }
+        }
+        for _ in 0..60 {
+            let lo = rng.random_range(0..m);
+            out.push((lo, rng.random_range(lo..m)));
+        }
+        out
+    }
+
+    /// Random completions, then random commits through the bank and
+    /// `refresh` — the same way the kernel keeps the index.
+    fn bank_and_index(m: usize, rng: &mut rand::rngs::StdRng) -> (CompletionBank, LaneIndex) {
+        let vals: Vec<Time> = (0..m).map(|_| rng.random_range(0..6) as f64).collect();
+        let mut bank = CompletionBank::from_completions(&vals);
+        let mut index = LaneIndex::new(bank.padded());
+        for _ in 0..2 * m {
+            let j = rng.random_range(0..m);
+            let v = bank.get(j) + rng.random_range(0..3) as f64;
+            bank.set(j, v);
+            index.refresh(bank.padded(), j);
+        }
+        (bank, index)
+    }
+
+    #[test]
+    fn lane_index_matches_flat_scan_on_random_data() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1A4E);
+        for m in [1usize, 7, 8, 9, 63, 64, 65, 1000] {
+            for _ in 0..4 {
+                let (bank, index) = bank_and_index(m, &mut rng);
+                let (padded, vals) = (bank.padded(), bank.values());
+                for (lo, hi) in lane_ranges(m, &mut rng) {
+                    let flat_min = vals[lo..=hi].iter().cloned().fold(f64::INFINITY, f64::min);
+                    // Bounds below (a failed search: the range-min
+                    // query), at and above the minimum — and +∞, which
+                    // every padding slot satisfies.
+                    for bound in [flat_min - 0.5, flat_min, flat_min + 2.0, f64::INFINITY] {
+                        let expect: Vec<usize> = (lo..=hi).filter(|&j| vals[j] <= bound).collect();
+                        let ctx = format!("m={m} [{lo},{hi}] ≤{bound}");
+                        // A failed search reports the range minimum.
+                        assert_eq!(
+                            index.leftmost_le(padded, lo, hi, bound),
+                            expect.first().copied().ok_or(flat_min),
+                            "leftmost {ctx}"
+                        );
+                        assert_eq!(
+                            index.rightmost_le(padded, lo, hi, bound),
+                            expect.last().copied().ok_or(flat_min),
+                            "rightmost {ctx}"
+                        );
+                        let mut got = vec![usize::MAX];
+                        index.collect_le(padded, lo, hi, bound, &mut got);
+                        assert_eq!(got[0], usize::MAX, "collect appends ({ctx})");
+                        assert_eq!(&got[1..], &expect[..], "collect {ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_index_tracks_rebuilt_minima_under_commits() {
+        // Early-exit refreshes must leave exactly the tree a fresh build
+        // over the same bank produces.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1A4F);
+        for m in [1usize, 9, 65, 1000] {
+            let (bank, index) = bank_and_index(m, &mut rng);
+            assert_eq!(
+                index.tree.vals,
+                LaneIndex::new(bank.padded()).tree.vals,
+                "m={m}"
+            );
+        }
+    }
+
+    #[test]
+    fn lane_index_is_lane_sized() {
+        let m = 1 << 20;
+        let index = LaneIndex::new(CompletionBank::new(m).padded());
+        assert_eq!(index.tree.vals.len(), 2 * (m / LANE));
+        assert!(IndexedEftState::new(m, TieBreak::Min).owner.is_empty());
     }
 
     /// Random mixed-shape dispatch sequences: the indexed kernel must

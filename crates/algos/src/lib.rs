@@ -8,7 +8,7 @@
 //!   central-queue FIFO), driving any
 //!   [`ArrivalStream`](flowsched_core::ArrivalStream) under any
 //!   [`Recorder`](flowsched_obs::Recorder) into any
-//!   [`DispatchSink`](engine::DispatchSink). Includes the sharded
+//!   [`DispatchSink`]. Includes the sharded
 //!   engine ([`engine::run_immediate_sharded`]): when the stream's
 //!   processing sets partition the machines into clusters, each cluster
 //!   dispatches on its own worker thread and the decisions merge back
@@ -19,9 +19,9 @@
 //!   Algorithm 2, with processing-set support (Equation (2)), both as a
 //!   whole-instance driver and as an incremental [`eft::EftState`] for
 //!   discrete-event simulation.
-//! - [`indexed`]: the structure-aware dispatch kernels — a
-//!   leftmost-argmin segment tree plus cluster heaps answering
-//!   Equation (2) in O(log m) per task over compact
+//! - [`indexed`]: the structure-aware dispatch kernels — a min-tree
+//!   over the completion bank's cache-line lanes plus cluster heaps
+//!   answering Equation (2) in O(log m) per task over compact
 //!   [`ProcSetRef`](flowsched_core::ProcSetRef) views, bitwise-identical
 //!   to the scalar path.
 //! - [`faulty`]: availability-aware EFT over a
@@ -30,7 +30,7 @@
 //!   fault-free plan reproduces the plain engine bitwise
 //!   ([`run_immediate_faulty`], [`run_immediate_faulty_sharded`]).
 //! - [`registry`]: the name-addressable policy registry — a
-//!   [`PolicySpec`](registry::PolicySpec) parseable from strings like
+//!   [`PolicySpec`] parseable from strings like
 //!   `eft:min:indexed`, resolving kernels and shard-local seeds through
 //!   one construction path that every engine entry point, sim driver,
 //!   and bench bin shares.

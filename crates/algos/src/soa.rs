@@ -58,20 +58,23 @@ pub enum ScanImpl {
     Scalar,
 }
 
-/// One cache line of completion times. `repr(C)` over `[f64; LANE]`
-/// (no padding: 8 × 8 bytes fills the 64-byte alignment exactly), so a
-/// slice of lanes reinterprets as a flat `f64` slice.
-#[derive(Debug, Clone, Copy)]
-#[repr(C, align(64))]
-struct Lane([Time; LANE]);
-
 /// Machine completion times `C_j` in structure-of-arrays form: a
 /// cache-line-aligned `f64` array padded to a multiple of [`LANE`] with
 /// `+∞` (neutral under `min`). The first [`len`](CompletionBank::len)
 /// entries are the live machines.
-#[derive(Debug, Clone)]
+///
+/// The lanes live in a plain `Vec<f64>` with `LANE − 1` slots of slack,
+/// starting at its first 64-byte boundary. An over-aligned element type
+/// would route the allocation through `posix_memalign`, whose split-off
+/// leading fragment stays cached by glibc between the bank and its
+/// neighbours. Freed banks then never coalesce with the chunks around
+/// them, and a process that builds one bank per run grows its heap by
+/// one bank per run.
+#[derive(Debug)]
 pub struct CompletionBank {
-    lanes: Vec<Lane>,
+    buf: Vec<Time>,
+    /// Index of the first lane's first slot in `buf`.
+    start: usize,
     len: usize,
 }
 
@@ -83,10 +86,11 @@ impl CompletionBank {
     pub fn new(m: usize) -> Self {
         assert!(m > 0, "need at least one machine");
         let lanes = m.div_ceil(LANE);
-        let mut bank = CompletionBank {
-            lanes: vec![Lane([f64::INFINITY; LANE]); lanes],
-            len: m,
-        };
+        let buf = vec![f64::INFINITY; lanes * LANE + LANE - 1];
+        // `Vec<f64>` is 8-byte aligned, so a 64-byte boundary lies
+        // within the first LANE slots.
+        let start = (buf.as_ptr() as usize).wrapping_neg() % 64 / std::mem::size_of::<Time>();
+        let mut bank = CompletionBank { buf, start, len: m };
         for v in &mut bank.padded_mut()[..m] {
             *v = 0.0;
         }
@@ -123,25 +127,13 @@ impl CompletionBank {
     /// filled with `+∞`, start 64-byte aligned.
     #[inline]
     pub fn padded(&self) -> &[Time] {
-        // SAFETY: `Lane` is `repr(C)` over `[Time; LANE]` with size
-        // LANE * 8 = 64 bytes (the alignment raises only the start
-        // address, not the stride), so `self.lanes` is layout-compatible
-        // with `lanes.len() * LANE` contiguous `Time`s.
-        unsafe {
-            std::slice::from_raw_parts(self.lanes.as_ptr().cast::<Time>(), self.lanes.len() * LANE)
-        }
+        &self.buf[self.start..][..self.len.div_ceil(LANE) * LANE]
     }
 
     /// Mutable counterpart of [`padded`](CompletionBank::padded).
     #[inline]
     fn padded_mut(&mut self) -> &mut [Time] {
-        // SAFETY: as in `padded`.
-        unsafe {
-            std::slice::from_raw_parts_mut(
-                self.lanes.as_mut_ptr().cast::<Time>(),
-                self.lanes.len() * LANE,
-            )
-        }
+        &mut self.buf[self.start..][..self.len.div_ceil(LANE) * LANE]
     }
 
     /// Completion time of machine `j`.
@@ -162,6 +154,13 @@ impl CompletionBank {
         let len = self.len;
         assert!(j < len, "machine index {j} out of range for {len} machines");
         self.padded_mut()[j] = v;
+    }
+}
+
+impl Clone for CompletionBank {
+    /// A copy aligned afresh — the clone's buffer has its own address.
+    fn clone(&self) -> Self {
+        CompletionBank::from_completions(self.values())
     }
 }
 
@@ -436,6 +435,17 @@ mod tests {
             assert_eq!(bank.padded().as_ptr() as usize % 64, 0, "m={m}");
             assert!(bank.values().iter().all(|&v| v == 0.0));
             assert!(bank.padded()[m..].iter().all(|&v| v == f64::INFINITY));
+        }
+    }
+
+    #[test]
+    fn bank_clone_is_realigned() {
+        let mut bank = CompletionBank::new(13);
+        bank.set(12, 4.0);
+        let copies: Vec<CompletionBank> = (0..8).map(|_| bank.clone()).collect();
+        for c in &copies {
+            assert_eq!(c.padded().as_ptr() as usize % 64, 0);
+            assert_eq!(c.padded(), bank.padded());
         }
     }
 

@@ -18,16 +18,22 @@
 //!
 //! Acceptance (ISSUE 10): SIMD ≥ 2× over scalar at m ≥ 1024 on both.
 //!
-//! `dispatch_m20` streams 512 tasks over m = 2²⁰ machines per kernel —
-//! the hardware-limit end of the PR-5 scaling sweep, pinning per-kernel
-//! ns/task where the scalar scan visits half a million machines per
-//! dispatch and the indexed kernel answers in O(log m).
+//! `dispatch_m20` is the hardware-limit end of the large-m scaling sweep,
+//! at m = 2²⁰ machines with width-m/2 intervals, where the scalar scan
+//! visits half a million machines per dispatch and the indexed kernel
+//! answers from its lane index. It reports setup and steady state as
+//! separate rows:
+//!
+//! - `build_<kernel>`: one O(m) state build, no task dispatched;
+//! - `steady_<kernel>_n<n>`: a whole run of `n` tasks, build included,
+//!   with `n` per kernel large enough that the build row is under 5% of
+//!   the run row — so `run / n` reads as the steady-state ns/task.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use flowsched_algos::eft::scan_ties;
-use flowsched_algos::indexed::DispatchKernel;
+use flowsched_algos::eft::{scan_ties, ImmediateDispatcher};
+use flowsched_algos::indexed::{DispatchKernel, EftKernelState};
 use flowsched_algos::soa::{scan_ties_simd, CompletionBank};
 use flowsched_algos::tiebreak::TieBreak;
 use flowsched_core::compact::ProcSetRef;
@@ -92,22 +98,33 @@ fn bench_scan_inclusive(c: &mut Criterion) {
 
 fn bench_dispatch_m20(c: &mut Criterion) {
     const M: usize = 1 << 20;
-    const TASKS: usize = 512;
     let mut g = c.benchmark_group("dispatch_m20");
-    let cfg = PoissonStreamConfig {
-        m: M,
-        n: TASKS,
-        structure: StructureKind::IntervalFixed(M / 2),
-        lambda: M as f64,
-        unit: true,
-        ptime_steps: 4,
-    };
     for (kernel, name) in [
         (DispatchKernel::Scalar, "scalar"),
         (DispatchKernel::Indexed, "indexed"),
-        (DispatchKernel::Auto, "auto"),
     ] {
-        g.bench_function(name, |b| {
+        g.bench_function(format!("build_{name}"), |b| {
+            b.iter(|| {
+                black_box(EftKernelState::new(black_box(M), TieBreak::Min, kernel)).machine_count()
+            })
+        });
+    }
+    // A scalar dispatch costs ~1 ms here, so 512 tasks already bury the
+    // build; the indexed kernel needs 2^18 tasks for the same.
+    for (kernel, name, n) in [
+        (DispatchKernel::Scalar, "scalar", 512),
+        (DispatchKernel::Indexed, "indexed", 1 << 18),
+        (DispatchKernel::Auto, "auto", 1 << 18),
+    ] {
+        let cfg = PoissonStreamConfig {
+            m: M,
+            n,
+            structure: StructureKind::IntervalFixed(M / 2),
+            lambda: M as f64,
+            unit: true,
+            ptime_steps: 4,
+        };
+        g.bench_function(format!("steady_{name}_n{n}"), |b| {
             b.iter(|| {
                 black_box(
                     simulate_stream_with_kernel(

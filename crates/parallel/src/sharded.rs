@@ -35,7 +35,7 @@
 //!
 //! # Backpressure and deadlock-freedom
 //!
-//! All links are bounded [`spsc`](crate::spsc) queues moving
+//! All links are bounded [`spsc`] queues moving
 //! `Vec`-batches. The router only ever *blocks* on a worker that
 //! provably has work in flight (its input queue is full, or the
 //! merge head was already flushed to it), so every blocking wait is
@@ -47,7 +47,7 @@
 //! # Wall-clock observability
 //!
 //! [`run_sharded_probed`] is the same engine with a
-//! [`PipelineProbe`](flowsched_obs::pipeline::PipelineProbe) threaded
+//! [`PipelineProbe`] threaded
 //! through every stage: router batch assembly ([`Stage::Route`]),
 //! blocking on a full SPSC queue ([`Stage::EnqueueWait`], which also
 //! covers the result-draining done while waiting), worker blocking on
@@ -55,7 +55,7 @@
 //! execution ([`Stage::Dispatch`]), and the in-order merge
 //! ([`Stage::Merge`]) — plus reorder-buffer depth, backpressure-stall,
 //! and forced-flush gauges. [`run_sharded`] passes
-//! [`NoopPipeline`](flowsched_obs::pipeline::NoopPipeline), whose
+//! [`NoopPipeline`], whose
 //! `ENABLED = false` folds every probe (including the clock reads)
 //! away, so the unprobed engine is byte-for-byte the pre-observability
 //! engine and schedules are never perturbed.

@@ -238,17 +238,15 @@ impl ReportBuilder {
             };
         }
         assert!(self.n > 0, "warm-up excludes every task");
-        let utilization = self
-            .busy
-            .iter()
-            .map(|&b| {
-                if self.makespan > 0.0 {
-                    b / self.makespan
-                } else {
-                    0.0
-                }
-            })
-            .collect();
+        // Busy time becomes utilization in place: no second O(m) buffer.
+        let mut utilization = self.busy;
+        for u in &mut utilization {
+            *u = if self.makespan > 0.0 {
+                *u / self.makespan
+            } else {
+                0.0
+            };
+        }
         // The same quarter the batch report uses, clamped to what the
         // bounded windows retained.
         let quarter = (self.n / 4).max(1).min(self.window);

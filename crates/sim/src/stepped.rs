@@ -384,7 +384,7 @@ mod tests {
         // An under-loaded stream with forced gaps so real idle periods
         // occur: one unit task every other step on two machines.
         let batch = |t: usize| {
-            if t % 2 == 0 {
+            if t.is_multiple_of(2) {
                 vec![ProcSet::full(2)]
             } else {
                 Vec::new()

@@ -4,45 +4,51 @@
 #   1. formatting (cargo fmt --check over the whole workspace,
 #      vendored stand-ins included)
 #   2. release build of the whole workspace
-#   3. the full test suite (unit + integration + doc tests), which
+#   3. the full test suite (unit + integration + doc tests of the root
+#      package and every crate under crates/ — the workspace's
+#      default members), which
 #      includes the observability hardening suites
 #      (tests/obs_invariants.rs, tests/report_consistency.rs,
 #      tests/prometheus_lint.rs) and the streaming-core suites
 #      (tests/streaming_equivalence.rs, tests/streaming_memory.rs)
-#   4. clippy with warnings promoted to errors
-#   5. rustdoc with warnings promoted to errors (broken intra-doc
+#   4. heavy soak tests in release mode: tests/soak.rs's #[ignore]d
+#      runs (200k requests; the interval adversary at m = 64), which
+#      guard the hot paths against quadratic blow-ups
+#   5. clippy with warnings promoted to errors
+#   6. rustdoc with warnings promoted to errors (broken intra-doc
 #      links, missing docs on public items)
-#   6. large-m smoke run: 100k-machine streams through the indexed
+#   7. large-m smoke run: 100k-machine streams through the indexed
 #      dispatch kernel (cargo run --release -p flowsched-bench --bin
 #      smoke_scale), panicking on any degenerate report
-#   7. sharded determinism smoke: the sharded_smoke bin runs under
+#   8. sharded determinism smoke: the sharded_smoke bin runs under
 #      FLOWSCHED_THREADS=1 and =4 and the printed schedule hashes must
 #      be identical (thread-count invariance, end to end)
-#   8. fault-injection soak: the fault_soak bin dispatches a 1M-task
+#   9. fault-injection soak: the fault_soak bin dispatches a 1M-task
 #      Poisson stream under a 1% crash-rate fault plan, asserting
 #      bounded memory (VmHWM growth < 32 MiB) in-process; the stage
 #      asserts the schedule hash is identical under FLOWSCHED_THREADS=1
 #      and =4 (the faulty engine is thread-count invariant too)
-#   9. competitive-ratio ladder: the ratio_ladder bin runs every
+#  10. competitive-ratio ladder: the ratio_ladder bin runs every
 #      registry policy (eft / weft / setup variants) over its
 #      adversarial stream and asserts the measured ratios stay inside
 #      the envelopes recorded in EXPERIMENTS.md
-#  10. pipeline-profile smoke: the pipeline_profile bin runs a bounded
+#  11. pipeline-profile smoke: the pipeline_profile bin runs a bounded
 #      trace through the sequential and the probe-instrumented sharded
 #      engine, asserting in-process that the two schedules hash
 #      identically (the wall-clock probe must never perturb dispatch)
 #      and printing the per-stage ns/task table
-#  11. hardware-limit smoke: the same smoke_scale bin re-run at
-#      m = 2^20 via FLOWSCHED_SMOKE_M/N — the SoA completion bank,
-#      SIMD tie scan, and branchless segment-tree descent at the
-#      million-machine scale (ISSUE 10)
-#  12. bench gate (warn-only): scripts/bench_gate.sh re-runs the benches
+#  12. hardware-limit smoke: the same smoke_scale bin re-run at
+#      m = 2^20 via FLOWSCHED_SMOKE_M/N — the SoA completion bank, the
+#      SIMD tie scan, and the lane index (a min-tree over the bank's
+#      2^17 cache-line lanes, ~2·next_pow2(⌈m/8⌉) f64 ≈ 2 MiB) at the
+#      million-machine scale
+#  13. bench gate (warn-only): scripts/bench_gate.sh re-runs the benches
 #      behind BENCH_PR1/PR3/PR4/PR5/PR6/PR9/PR10.json and reports
 #      medians that drifted past the noise tolerance — it never fails
 #      the build
 #
 # Usage:
-#   scripts/ci_check.sh                 # all twelve stages
+#   scripts/ci_check.sh                 # all thirteen stages
 #   scripts/ci_check.sh --no-clippy     # skip the lint stage (e.g. when
 #                                       # the toolchain lacks clippy)
 #   scripts/ci_check.sh --no-bench-gate # skip the (slow) bench stage
@@ -69,6 +75,10 @@ cargo build --release
 echo
 echo "== cargo test -q =="
 cargo test -q
+
+echo
+echo "== heavy soak tests (release, --ignored) =="
+cargo test -q --release --test soak -- --ignored
 
 if [ "$RUN_CLIPPY" = 1 ]; then
   echo
@@ -119,7 +129,7 @@ echo "== pipeline-profile smoke (probe transparency + stage table) =="
 cargo run -q --release -p flowsched-bench --bin pipeline_profile -- --tasks 20000 --threads 4
 
 echo
-echo "== 2^20-machine smoke run (SoA bank + branchless descent) =="
+echo "== 2^20-machine smoke run (SoA bank + lane index) =="
 FLOWSCHED_SMOKE_M=1048576 FLOWSCHED_SMOKE_N=200000 \
   cargo run -q --release -p flowsched-bench --bin smoke_scale
 

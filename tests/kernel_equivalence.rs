@@ -233,13 +233,14 @@ fn warm_started_unit_fmax_matches_seed_binary_search_on_200_instances() {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch kernels: the indexed (segment-tree / cluster-heap) EFT state
+// Dispatch kernels: the indexed (lane-index / cluster-heap) EFT state
 // against the scalar linear-scan oracle.
 // ---------------------------------------------------------------------------
 
 use flowsched::algos::eft::{eft_stream_with_kernel, EftState, ImmediateDispatcher};
 use flowsched::algos::indexed::{DispatchKernel, EftKernelState};
 use flowsched::algos::tiebreak::TieBreak;
+use flowsched::core::compact::ProcSetRef;
 use flowsched::obs::MemoryRecorder;
 use flowsched::workloads::random::{random_instance, RandomInstanceConfig, StructureKind};
 
@@ -254,6 +255,18 @@ fn kind_for(idx: usize, k: usize) -> StructureKind {
         4 => StructureKind::InclusiveChain,
         5 => StructureKind::NestedLaminar,
         _ => StructureKind::General,
+    }
+}
+
+/// The most compact shape of `set` on `m` machines — what a structured
+/// arrival stream lends — so the indexed kernel's range paths run, not
+/// only its cluster index (`ProcSet::view` is always explicit).
+fn shaped(set: &ProcSet, m: usize) -> ProcSetRef<'_> {
+    match (set.as_contiguous(), set.as_ring_interval(m)) {
+        (Some((0, hi)), _) => ProcSetRef::prefix(hi + 1),
+        (Some(_), _) => set.compact_view(),
+        (None, Some((start, len))) => ProcSetRef::ring(start, len, m),
+        (None, None) => set.view(),
     }
 }
 
@@ -273,13 +286,16 @@ proptest! {
     /// every task, across all structured families × all tie-breaks —
     /// including `Rand`, whose agreement hinges on both kernels
     /// enumerating identical tie sets (same RNG draw per dispatch).
+    /// Widths up to ~300 machines and sets up to all of them span many
+    /// 8-machine lanes, so the lane index's tree is reached, not only
+    /// its head/tail lane scans.
     #[test]
     fn indexed_dispatch_matches_scalar_oracle(
         family in 0usize..7,
         tb_idx in 0usize..3,
-        m in 2usize..48,
+        m in 2usize..300,
         n in 1usize..160,
-        k_raw in 1usize..48,
+        k_raw in 1usize..300,
         unit in any::<bool>(),
         seed in any::<u64>(),
     ) {
@@ -291,12 +307,16 @@ proptest! {
 
         let mut scalar = EftState::new(m, tb);
         let mut indexed = EftKernelState::new(m, tb, DispatchKernel::Indexed);
+        let mut ranged = EftKernelState::new(m, tb, DispatchKernel::Indexed);
         for (id, task, set) in inst.iter() {
             let a = scalar.dispatch(task, set);
             let b = indexed.dispatch_task(task, set.view());
             prop_assert_eq!(a, b, "task {} diverged ({:?})", id.0, tb);
+            let c = ranged.dispatch_task(task, shaped(set, m));
+            prop_assert_eq!(a, c, "task {} diverged on {:?} ({:?})", id.0, shaped(set, m), tb);
         }
         prop_assert_eq!(scalar.completions(), indexed.machine_completions());
+        prop_assert_eq!(scalar.completions(), ranged.machine_completions());
 
         // RNG-consumption contract: if the kernels had drawn a different
         // number of randoms (only possible under Rand), a shared tail of
@@ -305,10 +325,16 @@ proptest! {
         let everyone = ProcSet::full(m);
         for _ in 0..32 {
             let task = Task::unit(tail_release);
+            let a = scalar.dispatch(task, &everyone);
             prop_assert_eq!(
-                scalar.dispatch(task, &everyone),
+                a,
                 indexed.dispatch_task(task, everyone.view()),
                 "RNG streams desynchronized after the structured prefix"
+            );
+            prop_assert_eq!(
+                a,
+                ranged.dispatch_task(task, ProcSetRef::prefix(m)),
+                "RNG streams desynchronized after the shaped prefix"
             );
         }
     }
