@@ -117,31 +117,6 @@ impl EftState {
         self.completions.values()
     }
 
-    /// Decomposes the state into the parts a mid-stream kernel switch
-    /// must carry over: the completion bank, the breaker (with its RNG
-    /// state — rebuilt breakers would replay draws and break bitwise
-    /// transparency), and the trace sequence number.
-    pub(crate) fn into_parts(self) -> (CompletionBank, Breaker, u64) {
-        (self.completions, self.breaker, self.seq)
-    }
-
-    /// Rebuilds a state from carried-over parts (inverse of
-    /// [`into_parts`](Self::into_parts)).
-    pub(crate) fn from_parts(
-        completions: CompletionBank,
-        breaker: Breaker,
-        scan: ScanImpl,
-        seq: u64,
-    ) -> Self {
-        EftState {
-            completions,
-            breaker,
-            scan,
-            ties: Vec::new(),
-            seq,
-        }
-    }
-
     /// Dispatches one task (Equation (2)): computes
     /// `t'min = max(rᵢ, min_{j∈Mᵢ} C_j)`, collects the tie set
     /// `U'ᵢ = {j ∈ Mᵢ : C_j ≤ t'min}`, picks a machine, and commits.
@@ -331,29 +306,18 @@ pub fn eft(inst: &Instance, policy: TieBreak) -> Schedule {
 /// `rec` sees arrivals, dispatches, and machine transitions for the
 /// whole run (with [`NoopRecorder`] the hooks compile away). Feeding an
 /// [`InstanceStream`] reproduces the batch [`eft`] schedule exactly.
+///
+/// The dispatch kernel is [`DispatchKernel::Auto`], picked once when
+/// the state is built; to force one, pass a [`PolicySpec`] such as
+/// `eft:min:indexed` to [`engine::policy_schedule`]. Every kernel
+/// produces the bitwise-identical schedule and recorder trace (pinned
+/// by `tests/kernel_equivalence.rs`).
 pub fn eft_stream<S: ArrivalStream, R: Recorder>(
     stream: S,
     policy: TieBreak,
     rec: &mut R,
 ) -> Schedule {
-    eft_stream_with_kernel(stream, policy, DispatchKernel::Auto, rec)
-}
-
-/// [`eft_stream`] with the dispatch kernel forced: `Scalar` is the
-/// member-scan oracle, `Indexed` the lane-index/cluster-heap kernel,
-/// `Auto` (what [`eft_stream`] uses) selects from the stream's
-/// structure hint — set width as well as machine count, per the
-/// crossover model of
-/// [`indexed_min_width`](crate::indexed::indexed_min_width). All
-/// three produce bitwise-identical schedules and recorder traces
-/// (pinned by `tests/kernel_equivalence.rs`).
-pub fn eft_stream_with_kernel<S: ArrivalStream, R: Recorder>(
-    stream: S,
-    policy: TieBreak,
-    kernel: DispatchKernel,
-    rec: &mut R,
-) -> Schedule {
-    engine::policy_schedule(stream, &PolicySpec::eft(policy, kernel), rec)
+    engine::policy_schedule(stream, &PolicySpec::eft(policy, DispatchKernel::Auto), rec)
 }
 
 #[cfg(test)]

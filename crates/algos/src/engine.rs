@@ -28,10 +28,10 @@
 //! so Proposition 1 (FIFO ≡ EFT on unrestricted instances) is still
 //! validated by two separate mechanisms consuming the same stream.
 //!
-//! [`run_immediate_sharded`] is the parallel form of EFT dispatch:
+//! [`run_policy_sharded`] is the parallel form of immediate dispatch:
 //! when the stream's processing sets partition the machines into
 //! clusters ([`ArrivalStream::shard_plan`]), each cluster runs its own
-//! EFT kernel on a worker thread
+//! dispatcher, built on the cluster's width, on a worker thread
 //! ([`run_sharded`](flowsched_parallel::sharded::run_sharded)) while
 //! the calling thread routes arrivals and replays the decisions in
 //! arrival order through the same `CommitTracker` commit path —
@@ -73,7 +73,7 @@ use flowsched_core::compact::ProcSetRef;
 use flowsched_core::machine::MachineId;
 use flowsched_core::schedule::{Assignment, Schedule};
 use flowsched_core::shard::ShardPlan;
-use flowsched_core::stream::ArrivalStream;
+use flowsched_core::stream::{ArrivalCheck, ArrivalStream};
 use flowsched_core::task::Task;
 use flowsched_core::time::Time;
 use flowsched_obs::pipeline::{NoopPipeline, PipelineProbe};
@@ -82,7 +82,7 @@ use flowsched_parallel::sharded::run_sharded_probed;
 pub use flowsched_parallel::sharded::ShardedConfig;
 
 use crate::eft::ImmediateDispatcher;
-use crate::indexed::{DispatchKernel, KernelStats};
+use crate::indexed::KernelStats;
 use crate::registry::{PolicySpec, PolicyState};
 use crate::tiebreak::TieBreak;
 
@@ -122,7 +122,7 @@ impl DispatchSink for NullSink {
 /// convention, then hands the assignment to the sink.
 ///
 /// This is the *single* definition of that convention — the sequential
-/// [`run_immediate`] and the parallel [`run_immediate_sharded`] both
+/// [`run_immediate`] and the parallel [`run_policy_sharded`] both
 /// commit through it, which is what makes their recorder traces (and
 /// order-sensitive sink folds) bitwise-identical rather than merely
 /// equivalent.
@@ -175,15 +175,17 @@ impl CommitTracker {
 
 /// Drives an immediate-dispatch scheduler over an arrival stream.
 ///
-/// Pulls arrivals one at a time (asserting non-decreasing releases),
+/// Pulls arrivals one at a time (each through an [`ArrivalCheck`]),
 /// lets `disp` commit each task, emits the observability events for the
 /// commitment, and hands the assignment to `sink`. Memory: O(m) on top
 /// of whatever the stream and dispatcher hold — nothing per task.
 ///
 /// # Panics
 /// Panics if the stream and dispatcher disagree on the machine count,
-/// if releases ever decrease, or if a processing set is empty or out of
-/// range (propagated from the dispatcher).
+/// if an arrival fails the [`ArrivalCheck`] (a non-finite or decreasing
+/// release, a non-finite or non-positive processing time), or if a
+/// processing set is empty or out of range (propagated from the
+/// dispatcher).
 pub fn run_immediate<S, D, R, K>(mut stream: S, disp: &mut D, rec: &mut R, sink: &mut K)
 where
     S: ArrivalStream,
@@ -198,16 +200,10 @@ where
         "stream and dispatcher disagree on machine count"
     );
     let mut tracker = CommitTracker::new(R::ENABLED, m);
-    let mut last_release = f64::NEG_INFINITY;
+    let mut check = ArrivalCheck::default();
     let mut seq: u64 = 0;
     while let Some((task, set)) = stream.next_arrival() {
-        assert!(
-            task.release >= last_release,
-            "arrival stream must be in non-decreasing release order \
-             ({} after {last_release})",
-            task.release
-        );
-        last_release = task.release;
+        check.check(&task);
         let a = disp.dispatch_task(task, set);
         tracker.commit(seq, task, a, rec, sink);
         seq += 1;
@@ -265,14 +261,20 @@ where
 /// The parallel counterpart of [`run_policy`]: each shard's worker
 /// builds its dispatcher through [`PolicySpec::for_shard`] +
 /// [`PolicySpec::build`], so shard-local seeds and per-shard `Auto`
-/// kernel resolution follow the registry's resolution invariants —
-/// byte-for-byte what [`run_immediate_sharded`] always constructed for
-/// the EFT family, now available for every registered policy.
+/// kernel resolution follow the registry's resolution invariants.
+///
+/// **Equivalence.** For `Min`/`Max` tie-breaks (and `Rand` on a
+/// single-shard plan) the schedule, recorder trace, and every
+/// order-sensitive sink fold are bitwise-identical to [`run_policy`]
+/// at every thread count, whichever kernel each shard resolves to. A
+/// multi-shard `Rand` run is thread-count invariant but draws
+/// per-shard streams
+/// ([`TieBreak::for_shard`](crate::tiebreak::TieBreak::for_shard)).
 ///
 /// # Panics
 /// Panics if the stream and plan disagree on the machine count, if an
-/// arrival's set straddles a shard boundary, if releases decrease, or
-/// if a worker dies.
+/// arrival's set straddles a shard boundary, if an arrival fails the
+/// [`ArrivalCheck`], or if a worker dies.
 pub fn run_policy_sharded<S, R, K>(
     stream: S,
     spec: &PolicySpec,
@@ -408,75 +410,6 @@ where
     Schedule::new(assignments)
 }
 
-/// The parallel counterpart of [`run_immediate`] for EFT: dispatches
-/// each shard of `plan` on its own worker
-/// ([`run_sharded`](flowsched_parallel::sharded::run_sharded)) with an
-/// [`EftKernelState`](crate::indexed::EftKernelState) per shard, and commits results on the calling
-/// thread in strict arrival order through the same `CommitTracker`
-/// path as the sequential engine.
-///
-/// **Equivalence.** For `Min`/`Max` tie-breaks (and `Rand` on a
-/// single-shard plan) the schedule, recorder trace, and every
-/// order-sensitive sink fold are bitwise-identical to
-/// `run_immediate(stream, EftKernelState::new(m, policy, kernel), …)`,
-/// at every thread count: EFT's decision for a task reads only its own
-/// shard's completions, each shard sees its sequential subsequence, and
-/// commits replay in global arrival order. A multi-shard `Rand` run is
-/// deterministic and thread-count invariant but draws per-shard streams
-/// ([`TieBreak::for_shard`]), so it differs from the sequential
-/// single-stream schedule.
-///
-/// `DispatchKernel::Auto` resolves *per shard* on the shard's width, so
-/// a plan of narrow shards runs scalar kernels where the sequential
-/// engine would have picked the index — the outputs are still identical
-/// because the kernels are (pinned by `tests/kernel_equivalence.rs`).
-///
-/// # Panics
-/// Panics if the stream and plan disagree on the machine count, if an
-/// arrival's set straddles a shard boundary, if releases decrease, or
-/// if a worker dies.
-pub fn run_immediate_sharded<S, R, K>(
-    stream: S,
-    policy: TieBreak,
-    kernel: DispatchKernel,
-    plan: &ShardPlan,
-    cfg: &ShardedConfig,
-    rec: &mut R,
-    sink: &mut K,
-) where
-    S: ArrivalStream,
-    R: Recorder,
-    K: DispatchSink,
-{
-    run_policy_sharded(
-        stream,
-        &PolicySpec::eft(policy, kernel),
-        plan,
-        cfg,
-        rec,
-        sink,
-    );
-}
-
-/// [`run_immediate_sharded`] collecting the full [`Schedule`] — the
-/// sharded twin of [`immediate_schedule`].
-pub fn immediate_schedule_sharded<S, R>(
-    stream: S,
-    policy: TieBreak,
-    kernel: DispatchKernel,
-    plan: &ShardPlan,
-    cfg: &ShardedConfig,
-    rec: &mut R,
-) -> Schedule
-where
-    S: ArrivalStream,
-    R: Recorder,
-{
-    let mut assignments = Vec::with_capacity(stream.len_hint().unwrap_or(0));
-    run_immediate_sharded(stream, policy, kernel, plan, cfg, rec, &mut assignments);
-    Schedule::new(assignments)
-}
-
 /// A machine-free event in the FIFO heap, ordered by time then machine
 /// index (machines freeing simultaneously pop in index order, matching
 /// the tie-set convention below).
@@ -520,8 +453,8 @@ impl PartialOrd for FreeEvent {
 ///
 /// # Panics
 /// Panics if any arrival carries a real processing-set restriction —
-/// FIFO's central queue has no notion of eligibility — or if releases
-/// ever decrease.
+/// FIFO's central queue has no notion of eligibility — or fails the
+/// [`ArrivalCheck`].
 pub fn run_fifo<S, R, K>(mut stream: S, policy: TieBreak, rec: &mut R, sink: &mut K)
 where
     S: ArrivalStream,
@@ -536,26 +469,20 @@ where
     let mut queue: VecDeque<(u64, Task)> = VecDeque::new();
 
     let mut next_seq: u64 = 0;
-    let mut last_release = f64::NEG_INFINITY;
-    let mut pull = |stream: &mut S, last_release: &mut f64| -> Option<(u64, Task)> {
+    let mut check = ArrivalCheck::default();
+    let mut pull = |stream: &mut S| -> Option<(u64, Task)> {
         let (task, set) = stream.next_arrival()?;
         assert!(
             set.len() == m,
             "FIFO requires an unrestricted stream (P | online-ri | Fmax); \
              use EFT for processing set restrictions"
         );
-        assert!(
-            task.release >= *last_release,
-            "arrival stream must be in non-decreasing release order \
-             ({} after {last_release})",
-            task.release
-        );
-        *last_release = task.release;
+        check.check(&task);
         let seq = next_seq;
         next_seq += 1;
         Some((seq, task))
     };
-    let mut pending = pull(&mut stream, &mut last_release);
+    let mut pending = pull(&mut stream);
 
     loop {
         // The next timestamp with any event: a machine freeing, a task
@@ -588,7 +515,7 @@ where
                 rec.task_arrival(seq, now);
             }
             queue.push_back((seq, task));
-            pending = pull(&mut stream, &mut last_release);
+            pending = pull(&mut stream);
         }
         // Dispatch loop: idle machines pull from the queue head.
         loop {
@@ -632,6 +559,7 @@ where
 mod tests {
     use super::*;
     use crate::eft::EftState;
+    use crate::indexed::DispatchKernel;
     use flowsched_core::instance::InstanceBuilder;
     use flowsched_core::procset::ProcSet;
     use flowsched_core::stream::{FnStream, InstanceStream};
@@ -670,6 +598,69 @@ mod tests {
         });
         let mut state = EftState::new(2, TieBreak::Min);
         run_immediate(stream, &mut state, &mut NoopRecorder, &mut NullSink);
+    }
+
+    /// A two-arrival stream on `m` machines, both on `set`, whose
+    /// second task is `bad`.
+    fn then_bad(m: usize, set: ProcSet, bad: Task) -> impl ArrivalStream {
+        let mut left = vec![bad, Task::unit(0.0)];
+        FnStream::new(m, move || left.pop().map(|t| (t, set.clone())))
+    }
+
+    fn immediate(bad: Task) {
+        let mut state = EftState::new(2, TieBreak::Min);
+        run_immediate(
+            then_bad(2, ProcSet::full(2), bad),
+            &mut state,
+            &mut NoopRecorder,
+            &mut NullSink,
+        );
+    }
+
+    fn fifo(bad: Task) {
+        run_fifo(
+            then_bad(2, ProcSet::full(2), bad),
+            TieBreak::Min,
+            &mut NoopRecorder,
+            &mut NullSink,
+        );
+    }
+
+    /// Two 4-machine shards: `threads = 1` runs the inline loop, `2`
+    /// the threaded router.
+    fn sharded(threads: usize, bad: Task) {
+        run_policy_sharded(
+            then_bad(8, ProcSet::interval(0, 3), bad),
+            &PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto),
+            &ShardPlan::blocks(8, 4, 16),
+            &ShardedConfig::with_threads(threads),
+            &mut NoopRecorder,
+            &mut NullSink,
+        );
+    }
+
+    /// One `#[should_panic]` test per engine path and bad field.
+    macro_rules! rejects_bad_arrival {
+        ($($name:ident: $run:expr;)*) => {$(
+            #[test]
+            #[should_panic(expected = "finite positive processing time")]
+            fn $name() {
+                $run
+            }
+        )*};
+    }
+
+    rejects_bad_arrival! {
+        immediate_engine_rejects_nan_ptime: immediate(Task::new(1.0, f64::NAN));
+        immediate_engine_rejects_nan_release: immediate(Task::new(f64::NAN, 1.0));
+        immediate_engine_rejects_zero_ptime: immediate(Task::new(1.0, 0.0));
+        immediate_engine_rejects_infinite_release: immediate(Task::new(f64::INFINITY, 1.0));
+        fifo_engine_rejects_nan_ptime: fifo(Task::new(1.0, f64::NAN));
+        fifo_engine_rejects_nan_release: fifo(Task::new(f64::NAN, 1.0));
+        sharded_inline_rejects_nan_ptime: sharded(1, Task::new(1.0, f64::NAN));
+        sharded_inline_rejects_nan_release: sharded(1, Task::new(f64::NAN, 1.0));
+        sharded_threaded_rejects_nan_ptime: sharded(2, Task::new(1.0, f64::NAN));
+        sharded_threaded_rejects_nan_release: sharded(2, Task::new(f64::NAN, 1.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Indexed EFT dispatch: lane-indexed machine selection over compact
 //! processing sets.
 //!
-//! The scalar [`EftState`] evaluates Equation (2) by scanning every
+//! The scalar [`EftState`](crate::eft::EftState) evaluates Equation (2) by scanning every
 //! member of `Mᵢ` — O(|Mᵢ|) per task, which on the paper's structured
 //! families (interval, inclusive, disjoint; Th. 3–10) is exactly the
 //! cost the structure makes avoidable. [`IndexedEftState`] exploits the
@@ -60,8 +60,7 @@ use flowsched_core::structure::StructureReport;
 use flowsched_core::task::Task;
 use flowsched_core::time::Time;
 
-use crate::adaptive::AdaptiveEftState;
-use crate::eft::{scan_ties, EftState, ImmediateDispatcher};
+use crate::eft::{scan_ties, ImmediateDispatcher};
 use crate::soa::{collect_le, min_in, scan_ties_simd, CompletionBank, ScanImpl, SoaMinHeap, LANE};
 use crate::tiebreak::{Breaker, TieBreak};
 
@@ -85,19 +84,8 @@ pub struct KernelStats {
     pub heap_self_heals: u64,
 }
 
-impl KernelStats {
-    /// Accumulates another counter snapshot into this one — how the
-    /// engine merges per-shard stats and how the adaptive kernel carries
-    /// counters across mid-stream kernel switches.
-    pub fn merge(&mut self, other: KernelStats) {
-        self.indexed_descents += other.indexed_descents;
-        self.scalar_fallback_scans += other.scalar_fallback_scans;
-        self.heap_self_heals += other.heap_self_heals;
-    }
-}
-
-/// Machine count at which [`DispatchKernel::Auto`] switches to the
-/// indexed kernel. Below it the scalar scan's cache-friendly sweep wins;
+/// Machine count from which [`DispatchKernel::Auto`] picks the indexed
+/// kernel. Below it the scalar scan's cache-friendly sweep wins;
 /// above it the O(log m) tree pays off even for moderate set widths.
 pub const AUTO_INDEXED_MIN_MACHINES: usize = 64;
 
@@ -106,19 +94,16 @@ pub const AUTO_INDEXED_MIN_MACHINES: usize = 64;
 /// decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchKernel {
-    /// Adapt live: start from the machine-count rule
-    /// ([`AUTO_INDEXED_MIN_MACHINES`]), classify the arriving sets
-    /// incrementally, and re-resolve through
-    /// [`for_structure`](DispatchKernel::for_structure) after a warmup
-    /// window and on classification changes
-    /// ([`AdaptiveEftState`]).
-    /// When the stream offers a
-    /// [`structure_hint`](flowsched_core::stream::ArrivalStream::structure_hint),
-    /// [`resolve_for_stream`](DispatchKernel::resolve_for_stream)
-    /// settles the choice up front instead.
+    /// Pick once, when the dispatcher is built: from the stream's
+    /// [`structure_hint`](flowsched_core::stream::ArrivalStream::structure_hint)
+    /// through [`for_structure`](DispatchKernel::for_structure) when
+    /// there is one, else by machine count through
+    /// [`resolve`](DispatchKernel::resolve)
+    /// ([`resolve_for_stream`](DispatchKernel::resolve_for_stream)
+    /// does both). The built dispatcher never changes kernel.
     #[default]
     Auto,
-    /// Force the member-scan oracle ([`EftState`]).
+    /// Force the member-scan oracle ([`EftState`](crate::eft::EftState)).
     Scalar,
     /// Force the lane-index / cluster-heap kernel
     /// ([`IndexedEftState`]).
@@ -175,20 +160,19 @@ impl DispatchKernel {
     /// consults the stream's
     /// [`structure_hint`](flowsched_core::stream::ArrivalStream::structure_hint)
     /// through [`for_structure`](DispatchKernel::for_structure) when one
-    /// is available (the hint covers the whole stream, so the choice is
-    /// settled up front), and stays `Auto` — the live-reclassifying
-    /// adaptive kernel — when the source promises nothing. Explicit
+    /// is available (the hint covers the whole stream), and falls back
+    /// to the machine-count rule ([`resolve`](DispatchKernel::resolve))
+    /// when the source promises nothing. Never returns `Auto`; explicit
     /// choices pass through untouched.
     pub fn resolve_for_stream<S>(self, stream: &S) -> DispatchKernel
     where
         S: flowsched_core::stream::ArrivalStream + ?Sized,
     {
-        match self {
-            DispatchKernel::Auto => match stream.structure_hint() {
-                Some(report) => DispatchKernel::for_structure(&report, stream.machines()),
-                None => DispatchKernel::Auto,
-            },
-            other => other,
+        match (self, stream.structure_hint()) {
+            (DispatchKernel::Auto, Some(report)) => {
+                DispatchKernel::for_structure(&report, stream.machines())
+            }
+            (kernel, _) => kernel.resolve(stream.machines()),
         }
     }
 }
@@ -539,7 +523,7 @@ struct Cluster {
 const UNOWNED: u32 = u32::MAX;
 
 /// The indexed EFT kernel. Maintains the same per-machine completion
-/// bank ([`CompletionBank`]) as [`EftState`] plus a lane index over
+/// bank ([`CompletionBank`]) as [`EftState`](crate::eft::EftState) plus a lane index over
 /// its lanes and lazily-built per-cluster heaps for recurring explicit
 /// sets.
 #[derive(Debug)]
@@ -576,37 +560,17 @@ impl IndexedEftState {
     /// Fresh state with the overlap-fallback scan implementation forced.
     pub fn with_scan(m: usize, policy: TieBreak, scan: ScanImpl) -> Self {
         assert!(m > 0, "need at least one machine");
-        IndexedEftState::from_parts(CompletionBank::new(m), policy.breaker(), scan)
-    }
-
-    /// Rebuilds a kernel around carried-over machine state — what a
-    /// mid-stream switch to the indexed kernel does. The lane index is
-    /// rebuilt from the bank; clusters re-register lazily (they are a
-    /// cache, not state — rebuilding them empty changes no dispatch
-    /// decision).
-    pub(crate) fn from_parts(
-        completions: CompletionBank,
-        breaker: Breaker,
-        scan: ScanImpl,
-    ) -> Self {
+        let completions = CompletionBank::new(m);
         IndexedEftState {
             index: LaneIndex::new(completions.padded()),
             completions,
-            breaker,
+            breaker: policy.breaker(),
             scan,
             ties: Vec::new(),
             owner: Vec::new(),
             clusters: Vec::new(),
             stats: KernelStats::default(),
         }
-    }
-
-    /// Decomposes the state into the parts a mid-stream kernel switch
-    /// must carry over: the completion bank and the breaker (with its
-    /// RNG state). The index structures stay behind — they are derived
-    /// state.
-    pub(crate) fn into_parts(self) -> (CompletionBank, Breaker, KernelStats) {
-        (self.completions, self.breaker, self.stats)
     }
 
     /// Decision counters accumulated so far (see [`KernelStats`]).
@@ -625,7 +589,8 @@ impl IndexedEftState {
     }
 
     /// Dispatches one task (Equation (2)) over a compact set view —
-    /// the indexed counterpart of [`EftState::dispatch_ref`].
+    /// the indexed counterpart of
+    /// [`EftState::dispatch_ref`](crate::eft::EftState::dispatch_ref).
     ///
     /// # Panics
     /// Panics if the processing set is empty or references a machine out
@@ -850,84 +815,10 @@ impl ImmediateDispatcher for IndexedEftState {
     }
 }
 
-/// An EFT dispatcher with the kernel chosen at construction — what the
-/// streaming entries (`eft_stream`, `dispatch_stream`,
-/// `simulate_stream`) instantiate. A [`DispatchKernel::Auto`] that
-/// reaches construction unresolved (no structure hint settled it)
-/// becomes the live-reclassifying [`AdaptiveEftState`].
-#[derive(Debug)]
-pub enum EftKernelState {
-    /// The member-scan oracle.
-    Scalar(EftState),
-    /// The lane-index / cluster-heap kernel.
-    Indexed(IndexedEftState),
-    /// The self-reclassifying wrapper around both.
-    Adaptive(AdaptiveEftState),
-}
-
-impl EftKernelState {
-    /// Fresh state for `m` idle machines under `kernel`, on the default
-    /// (SIMD) tie scan.
-    pub fn new(m: usize, policy: TieBreak, kernel: DispatchKernel) -> Self {
-        EftKernelState::with_scan(m, policy, kernel, ScanImpl::default())
-    }
-
-    /// Fresh state with the tie-scan implementation forced.
-    pub fn with_scan(m: usize, policy: TieBreak, kernel: DispatchKernel, scan: ScanImpl) -> Self {
-        match kernel {
-            DispatchKernel::Auto => {
-                EftKernelState::Adaptive(AdaptiveEftState::with_scan(m, policy, scan))
-            }
-            DispatchKernel::Indexed => {
-                EftKernelState::Indexed(IndexedEftState::with_scan(m, policy, scan))
-            }
-            DispatchKernel::Scalar => EftKernelState::Scalar(EftState::with_scan(m, policy, scan)),
-        }
-    }
-
-    /// Current completion time of each machine.
-    pub fn completions(&self) -> &[Time] {
-        match self {
-            EftKernelState::Scalar(s) => s.completions(),
-            EftKernelState::Indexed(s) => s.completions(),
-            EftKernelState::Adaptive(s) => s.completions(),
-        }
-    }
-}
-
-impl ImmediateDispatcher for EftKernelState {
-    fn machine_count(&self) -> usize {
-        match self {
-            EftKernelState::Scalar(s) => s.machine_count(),
-            EftKernelState::Indexed(s) => s.machine_count(),
-            EftKernelState::Adaptive(s) => s.machine_count(),
-        }
-    }
-
-    fn dispatch_task(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
-        match self {
-            EftKernelState::Scalar(s) => s.dispatch_task(task, set),
-            EftKernelState::Indexed(s) => s.dispatch_task(task, set),
-            EftKernelState::Adaptive(s) => s.dispatch_task(task, set),
-        }
-    }
-
-    fn machine_completions(&self) -> &[Time] {
-        self.completions()
-    }
-
-    fn kernel_stats(&self) -> Option<KernelStats> {
-        match self {
-            EftKernelState::Scalar(s) => s.kernel_stats(),
-            EftKernelState::Indexed(s) => Some(s.kernel_stats()),
-            EftKernelState::Adaptive(s) => s.kernel_stats(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eft::EftState;
     use rand::{Rng, SeedableRng};
 
     /// Tree built the way commits maintain it: all leaves 0, then one
@@ -1194,32 +1085,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_state_resolves_auto_to_the_adaptive_wrapper() {
-        // Auto builds the adaptive wrapper, whose *initial* core follows
-        // the machine-count rule; forced kernels stay direct.
-        assert!(matches!(
-            &EftKernelState::new(4, TieBreak::Min, DispatchKernel::Auto),
-            EftKernelState::Adaptive(s) if s.current_kernel() == DispatchKernel::Scalar
-        ));
-        assert!(matches!(
-            &EftKernelState::new(
-                AUTO_INDEXED_MIN_MACHINES,
-                TieBreak::Min,
-                DispatchKernel::Auto
-            ),
-            EftKernelState::Adaptive(s) if s.current_kernel() == DispatchKernel::Indexed
-        ));
-        assert!(matches!(
-            EftKernelState::new(4, TieBreak::Min, DispatchKernel::Indexed),
-            EftKernelState::Indexed(_)
-        ));
-        assert!(matches!(
-            EftKernelState::new(256, TieBreak::Min, DispatchKernel::Scalar),
-            EftKernelState::Scalar(_)
-        ));
-    }
-
-    #[test]
     fn for_structure_prefers_the_index_on_structured_families() {
         use flowsched_core::procset::ProcSet;
         use flowsched_core::structure::classify;
@@ -1303,12 +1168,14 @@ mod tests {
             DispatchKernel::Auto.resolve_for_stream(&InstanceStream::new(&inst)),
             DispatchKernel::Scalar
         );
-        // Hint-less sources stay Auto — the adaptive kernel classifies
-        // the arriving sets live instead of trusting a blind m-rule…
-        let hintless = FnStream::new(m, || None);
+        // Hint-less sources fall back to the machine-count rule…
         assert_eq!(
-            DispatchKernel::Auto.resolve_for_stream(&hintless),
-            DispatchKernel::Auto
+            DispatchKernel::Auto.resolve_for_stream(&FnStream::new(m, || None)),
+            DispatchKernel::Indexed
+        );
+        assert_eq!(
+            DispatchKernel::Auto.resolve_for_stream(&FnStream::new(15, || None)),
+            DispatchKernel::Scalar
         );
         // …and explicit choices always pass through.
         assert_eq!(

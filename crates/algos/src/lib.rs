@@ -9,7 +9,7 @@
 //!   [`ArrivalStream`](flowsched_core::ArrivalStream) under any
 //!   [`Recorder`](flowsched_obs::Recorder) into any
 //!   [`DispatchSink`]. Includes the sharded
-//!   engine ([`engine::run_immediate_sharded`]): when the stream's
+//!   engine ([`engine::run_policy_sharded`]): when the stream's
 //!   processing sets partition the machines into clusters, each cluster
 //!   dispatches on its own worker thread and the decisions merge back
 //!   in arrival order, bitwise-identical to the sequential run.
@@ -50,7 +50,6 @@
 //!   general instances, and polynomial lower bounds on `F*max` used to
 //!   report competitive ratios when the exact optimum is out of reach.
 
-pub mod adaptive;
 pub mod compose;
 pub mod eft;
 pub mod engine;
@@ -69,14 +68,12 @@ pub mod soa;
 pub mod tiebreak;
 pub mod weighted;
 
-pub use adaptive::{AdaptiveEftState, ADAPTIVE_WARMUP_ARRIVALS};
-
 pub use compose::compose_disjoint;
-pub use eft::{eft, eft_stream, eft_stream_with_kernel, EftState, ImmediateDispatcher};
+pub use eft::{eft, eft_stream, EftState, ImmediateDispatcher};
 pub use engine::{
-    fifo_schedule, immediate_schedule, immediate_schedule_sharded, policy_schedule,
-    policy_schedule_sharded, run_fifo, run_immediate, run_immediate_sharded, run_policy,
-    run_policy_sharded, run_policy_sharded_probed, DispatchSink, NullSink, ShardedConfig,
+    fifo_schedule, immediate_schedule, policy_schedule, policy_schedule_sharded, run_fifo,
+    run_immediate, run_policy, run_policy_sharded, run_policy_sharded_probed, DispatchSink,
+    NullSink, ShardedConfig,
 };
 pub use exact::{approx_fmax, exact_fmax, ExactResult};
 pub use faulty::{
@@ -85,14 +82,13 @@ pub use faulty::{
 };
 pub use fifo::{fifo, fifo_stream};
 pub use indexed::{
-    indexed_min_width, DispatchKernel, EftKernelState, IndexedEftState, KernelStats,
-    AUTO_INDEXED_MIN_MACHINES,
+    indexed_min_width, DispatchKernel, IndexedEftState, KernelStats, AUTO_INDEXED_MIN_MACHINES,
 };
 pub use localsearch::{eft_plus_local_search, improve};
 pub use offline::{
     brute_force_fmax, fmax_lower_bound, optimal_unit_fmax, optimal_unit_weighted_fmax,
 };
-pub use policies::{dispatch_stream, dispatch_stream_with_kernel, DispatchRule, Dispatcher};
+pub use policies::{dispatch_stream, DispatchRule, Dispatcher};
 pub use preemptive::optimal_preemptive_fmax;
 pub use registry::{ParsePolicyError, PolicyId, PolicySpec, PolicyState};
 pub use related::{related_dispatch, related_fmax, RelatedRule, RelatedState};
@@ -103,15 +99,14 @@ pub use weighted::WeightedEftState;
 
 /// Most used items for downstream crates.
 pub mod prelude {
-    pub use crate::eft::{eft, eft_stream, eft_stream_with_kernel, EftState, ImmediateDispatcher};
+    pub use crate::eft::{eft, eft_stream, EftState, ImmediateDispatcher};
     pub use crate::engine::{
-        run_fifo, run_immediate, run_immediate_sharded, run_policy, run_policy_sharded,
-        ShardedConfig,
+        run_fifo, run_immediate, run_policy, run_policy_sharded, ShardedConfig,
     };
     pub use crate::exact::{exact_fmax, ExactResult};
     pub use crate::faulty::{faulty_schedule, run_immediate_faulty, FaultyEftState};
     pub use crate::fifo::{fifo, fifo_stream};
-    pub use crate::indexed::{DispatchKernel, EftKernelState, IndexedEftState};
+    pub use crate::indexed::{DispatchKernel, IndexedEftState};
     pub use crate::offline::{
         brute_force_fmax, fmax_lower_bound, optimal_unit_fmax, optimal_unit_weighted_fmax,
     };

@@ -18,7 +18,8 @@
 //! - [`DispatchRule::RoundRobin`]: per-processing-set round-robin, the
 //!   stateful strategy proxies often implement.
 //!
-//! All are [`ImmediateDispatcher`]s, so every adversary in
+//! Every rule builds into an [`ImmediateDispatcher`] through
+//! `PolicySpec::from(rule).build(m)`, so every adversary in
 //! `flowsched-workloads` can be aimed at them unchanged.
 
 use std::collections::HashMap;
@@ -34,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::eft::ImmediateDispatcher;
-use crate::indexed::{DispatchKernel, EftKernelState};
+use crate::registry::PolicySpec;
 use crate::tiebreak::TieBreak;
 
 /// Which immediate-dispatch rule to run.
@@ -71,8 +72,9 @@ impl std::fmt::Display for DispatchRule {
     }
 }
 
-/// A generic immediate-dispatch scheduler state for any
-/// [`DispatchRule`].
+/// The immediate-dispatch state of the load-oblivious and sampled
+/// rules (random, power-of-d, round-robin). EFT rules build their own
+/// kernel state through [`PolicySpec::build`].
 #[derive(Debug)]
 pub struct Dispatcher {
     completions: Vec<Time>,
@@ -81,25 +83,23 @@ pub struct Dispatcher {
 
 #[derive(Debug)]
 enum RuleState {
-    Eft(Box<EftKernelState>),
     Random(Box<StdRng>),
     Choices(usize, Box<StdRng>),
     RoundRobin(HashMap<ProcSet, usize>),
 }
 
 impl Dispatcher {
-    /// Fresh state for `m` idle machines; EFT rules use the
-    /// automatically-selected dispatch kernel.
+    /// Fresh state for `m` idle machines.
+    ///
+    /// # Panics
+    /// Panics when `m == 0`, when `d == 0`, or for [`DispatchRule::Eft`],
+    /// whose state [`PolicySpec::build`] constructs.
     pub fn new(m: usize, rule: DispatchRule) -> Self {
-        Dispatcher::with_kernel(m, rule, DispatchKernel::Auto)
-    }
-
-    /// [`new`](Dispatcher::new) with the EFT dispatch kernel forced
-    /// (ignored by the non-EFT rules, which have no index to select).
-    pub fn with_kernel(m: usize, rule: DispatchRule, kernel: DispatchKernel) -> Self {
         assert!(m > 0, "need at least one machine");
         let kind = match rule {
-            DispatchRule::Eft(tb) => RuleState::Eft(Box::new(EftKernelState::new(m, tb, kernel))),
+            DispatchRule::Eft(_) => {
+                panic!("EFT rules build through PolicySpec::from(rule).build(m)")
+            }
             DispatchRule::RandomMachine { seed } => {
                 RuleState::Random(Box::new(derive_rng(seed, 0x7A11)))
             }
@@ -126,11 +126,6 @@ impl Dispatcher {
     pub fn dispatch_ref(&mut self, task: Task, set: ProcSetRef<'_>) -> Assignment {
         assert!(!set.is_empty(), "task has an empty processing set");
         match &mut self.kind {
-            RuleState::Eft(state) => {
-                let a = state.dispatch_task(task, set);
-                self.completions[a.machine.index()] = a.start + task.ptime;
-                a
-            }
             RuleState::Random(rng) => {
                 let pick = set.nth(rng.random_range(0..set.len()));
                 self.commit(task, pick)
@@ -173,13 +168,6 @@ impl ImmediateDispatcher for Dispatcher {
     fn machine_completions(&self) -> &[Time] {
         &self.completions
     }
-
-    fn kernel_stats(&self) -> Option<crate::indexed::KernelStats> {
-        match &self.kind {
-            RuleState::Eft(state) => state.kernel_stats(),
-            _ => None,
-        }
-    }
 }
 
 /// Runs a dispatch rule over a whole instance.
@@ -203,22 +191,7 @@ where
     S: flowsched_core::stream::ArrivalStream,
     R: flowsched_obs::Recorder,
 {
-    dispatch_stream_with_kernel(stream, rule, DispatchKernel::Auto, rec)
-}
-
-/// [`dispatch_stream`] with the EFT dispatch kernel forced.
-pub fn dispatch_stream_with_kernel<S, R>(
-    stream: S,
-    rule: DispatchRule,
-    kernel: DispatchKernel,
-    rec: &mut R,
-) -> Schedule
-where
-    S: flowsched_core::stream::ArrivalStream,
-    R: flowsched_obs::Recorder,
-{
-    let spec = crate::registry::PolicySpec::from(rule).with_kernel(kernel);
-    crate::engine::policy_schedule(stream, &spec, rec)
+    crate::engine::policy_schedule(stream, &PolicySpec::from(rule), rec)
 }
 
 #[cfg(test)]
@@ -350,6 +323,12 @@ mod tests {
             "Choices(2)"
         );
         assert_eq!(DispatchRule::RoundRobin.to_string(), "RoundRobin");
+    }
+
+    #[test]
+    #[should_panic(expected = "PolicySpec")]
+    fn dispatcher_leaves_eft_to_the_registry() {
+        Dispatcher::new(3, DispatchRule::Eft(TieBreak::Min));
     }
 
     #[test]

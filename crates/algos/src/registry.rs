@@ -1,12 +1,9 @@
 //! The dispatch-policy registry: one name-addressable surface over
 //! every immediate-dispatch algorithm in the workspace.
 //!
-//! Before this module, each dispatcher family had its own construction
-//! idiom — `EftKernelState::new(m, tie, kernel)` for EFT,
-//! `Dispatcher::with_kernel(m, rule, kernel)` for the grab-bag rules,
-//! `FaultyEftState::new(plan, tie)` for the fault layer — and every
-//! engine entry point, sim driver, and bench bin re-derived kernel and
-//! shard-seed resolution by hand. The registry collapses that into:
+//! Every engine entry point, sim driver, and bench bin builds its
+//! dispatcher here, so kernel and shard-seed resolution live in one
+//! place:
 //!
 //! - [`PolicyId`]: *which algorithm* — EFT under a tie-break, random,
 //!   power-of-d choices, round-robin, weighted-EFT
@@ -21,14 +18,16 @@
 //!
 //! **Resolution invariants** (pinned by `tests/policy_registry.rs`):
 //!
-//! 1. [`PolicySpec::build`] resolves `Auto` kernels by machine count
-//!    through [`EftKernelState::new`], and
-//!    [`PolicySpec::build_for_stream`] first consults the stream's
-//!    structure hint via [`DispatchKernel::resolve_for_stream`] —
-//!    byte-for-byte the two-step resolution the direct entry points
-//!    performed, so registry-built dispatchers are bitwise-identical
-//!    (schedule, recorder trace, RNG draws) to directly-constructed
-//!    ones.
+//! 1. [`PolicySpec::build`] and [`PolicySpec::build_for_stream`] are
+//!    the only code that picks an EFT kernel. `Auto` resolves once, at
+//!    build: `build_for_stream` consults the stream's structure hint
+//!    through [`DispatchKernel::for_structure`] and otherwise falls
+//!    back to machine count through [`DispatchKernel::resolve`], the
+//!    rule `build(m)` applies; sharded workers build on the shard's
+//!    width. The result is [`PolicyState::Scalar`] or
+//!    [`PolicyState::Indexed`], which never changes kernel. Both
+//!    kernels produce bitwise-identical schedules, recorder traces and
+//!    RNG draws, so the choice is a cost choice only.
 //! 2. [`PolicySpec::for_shard`] derives shard-local policies with
 //!    exactly [`TieBreak::for_shard`]'s semantics: shard 0 keeps its
 //!    seed (a single-shard run reproduces the sequential stream), other
@@ -57,9 +56,9 @@ use flowsched_core::fault::FaultPlan;
 use flowsched_core::stream::ArrivalStream;
 use flowsched_core::time::Time;
 
-use crate::eft::ImmediateDispatcher;
+use crate::eft::{EftState, ImmediateDispatcher};
 use crate::faulty::FaultyEftState;
-use crate::indexed::{DispatchKernel, EftKernelState};
+use crate::indexed::{DispatchKernel, IndexedEftState};
 use crate::policies::{DispatchRule, Dispatcher};
 use crate::setup::SetupEftState;
 use crate::soa::ScanImpl;
@@ -206,46 +205,37 @@ impl PolicySpec {
     }
 
     /// Shard-local spec — applies [`PolicyId::for_shard`], keeping the
-    /// kernel choice (Auto then re-resolves on the shard's width, as
-    /// the sharded engine always did) and the scan choice.
+    /// kernel choice (an `Auto` kernel resolves when the shard's state
+    /// is built, on the shard's width) and the scan choice.
     pub fn for_shard(self, shard: usize) -> PolicySpec {
         PolicySpec {
             id: self.id.for_shard(shard),
-            kernel: self.kernel,
-            scan: self.scan,
+            ..self
         }
     }
 
     /// Builds the dispatcher for `m` machines — the single construction
-    /// path every engine entry point funnels through (resolution
-    /// invariant 1).
+    /// path every engine entry point funnels through. An `Auto` kernel
+    /// resolves by machine count (resolution invariant 1).
     ///
     /// # Panics
     /// Panics when `m == 0` or a policy parameter is out of range
     /// (`d == 0`, negative slack/cost).
     pub fn build(&self, m: usize) -> PolicyState {
         match self.id {
-            PolicyId::Eft { tie } => PolicyState::Eft(Box::new(EftKernelState::with_scan(
-                m,
-                tie,
-                self.kernel,
-                self.scan,
-            ))),
-            PolicyId::Random { seed } => PolicyState::Rule(Dispatcher::with_kernel(
-                m,
-                DispatchRule::RandomMachine { seed },
-                self.kernel,
-            )),
-            PolicyId::Choices { d, seed } => PolicyState::Rule(Dispatcher::with_kernel(
-                m,
-                DispatchRule::TwoChoices { d, seed },
-                self.kernel,
-            )),
-            PolicyId::RoundRobin => PolicyState::Rule(Dispatcher::with_kernel(
-                m,
-                DispatchRule::RoundRobin,
-                self.kernel,
-            )),
+            PolicyId::Eft { tie } => match self.kernel.resolve(m) {
+                DispatchKernel::Indexed => {
+                    PolicyState::Indexed(IndexedEftState::with_scan(m, tie, self.scan))
+                }
+                _ => PolicyState::Scalar(EftState::with_scan(m, tie, self.scan)),
+            },
+            PolicyId::Random { seed } => {
+                PolicyState::Rule(Dispatcher::new(m, DispatchRule::RandomMachine { seed }))
+            }
+            PolicyId::Choices { d, seed } => {
+                PolicyState::Rule(Dispatcher::new(m, DispatchRule::TwoChoices { d, seed }))
+            }
+            PolicyId::RoundRobin => PolicyState::Rule(Dispatcher::new(m, DispatchRule::RoundRobin)),
             PolicyId::WeightedEft { tie, slack } => {
                 PolicyState::Weighted(WeightedEftState::new(m, tie, slack))
             }
@@ -255,11 +245,9 @@ impl PolicySpec {
         }
     }
 
-    /// [`build`](PolicySpec::build) with the kernel first resolved
-    /// against the stream's structure hint
-    /// ([`DispatchKernel::resolve_for_stream`]) — the exact two-step
-    /// resolution `eft_stream`/`dispatch_stream`/`simulate_stream`
-    /// always performed.
+    /// [`build`](PolicySpec::build) for `stream`'s machines, with an
+    /// `Auto` kernel resolved from the stream's structure hint when it
+    /// has one ([`DispatchKernel::resolve_for_stream`]).
     pub fn build_for_stream<S>(&self, stream: &S) -> PolicyState
     where
         S: ArrivalStream + ?Sized,
@@ -339,9 +327,10 @@ impl From<DispatchRule> for PolicySpec {
 /// the engines like any other [`ImmediateDispatcher`].
 #[derive(Debug)]
 pub enum PolicyState {
-    /// EFT under the resolved kernel (boxed: the adaptive wrapper
-    /// carries classifier + kernel state, far larger than its peers).
-    Eft(Box<EftKernelState>),
+    /// EFT on the member-scan kernel.
+    Scalar(EftState),
+    /// EFT on the lane-index / cluster-heap kernel.
+    Indexed(IndexedEftState),
     /// Random / power-of-d / round-robin (the `policies` grab-bag).
     Rule(Dispatcher),
     /// Weighted-EFT packing.
@@ -353,7 +342,8 @@ pub enum PolicyState {
 impl ImmediateDispatcher for PolicyState {
     fn machine_count(&self) -> usize {
         match self {
-            PolicyState::Eft(s) => s.machine_count(),
+            PolicyState::Scalar(s) => s.machine_count(),
+            PolicyState::Indexed(s) => s.machine_count(),
             PolicyState::Rule(s) => s.machine_count(),
             PolicyState::Weighted(s) => s.machine_count(),
             PolicyState::Setup(s) => s.machine_count(),
@@ -366,7 +356,8 @@ impl ImmediateDispatcher for PolicyState {
         set: flowsched_core::compact::ProcSetRef<'_>,
     ) -> flowsched_core::schedule::Assignment {
         match self {
-            PolicyState::Eft(s) => s.dispatch_task(task, set),
+            PolicyState::Scalar(s) => s.dispatch_task(task, set),
+            PolicyState::Indexed(s) => s.dispatch_task(task, set),
             PolicyState::Rule(s) => s.dispatch_task(task, set),
             PolicyState::Weighted(s) => s.dispatch_task(task, set),
             PolicyState::Setup(s) => s.dispatch_task(task, set),
@@ -375,7 +366,8 @@ impl ImmediateDispatcher for PolicyState {
 
     fn machine_completions(&self) -> &[Time] {
         match self {
-            PolicyState::Eft(s) => s.machine_completions(),
+            PolicyState::Scalar(s) => s.machine_completions(),
+            PolicyState::Indexed(s) => s.machine_completions(),
             PolicyState::Rule(s) => s.machine_completions(),
             PolicyState::Weighted(s) => s.machine_completions(),
             PolicyState::Setup(s) => s.machine_completions(),
@@ -384,9 +376,8 @@ impl ImmediateDispatcher for PolicyState {
 
     fn kernel_stats(&self) -> Option<crate::indexed::KernelStats> {
         match self {
-            PolicyState::Eft(s) => s.kernel_stats(),
-            PolicyState::Rule(s) => s.kernel_stats(),
-            PolicyState::Weighted(_) | PolicyState::Setup(_) => None,
+            PolicyState::Indexed(s) => Some(s.kernel_stats()),
+            _ => None,
         }
     }
 }
@@ -730,30 +721,6 @@ mod tests {
         // Deterministic rules pass through untouched.
         let min = PolicySpec::eft(TieBreak::Min, DispatchKernel::Indexed);
         assert_eq!(min.for_shard(7), min);
-    }
-
-    #[test]
-    fn build_resolves_kernels_like_the_direct_path() {
-        use crate::indexed::AUTO_INDEXED_MIN_MACHINES;
-        let spec = PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto);
-        // Auto now builds the adaptive wrapper; its initial core follows
-        // the machine-count rule the direct path always applied.
-        let adaptive_kernel = |state: PolicyState| match state {
-            PolicyState::Eft(k) => match *k {
-                EftKernelState::Adaptive(s) => s.current_kernel(),
-                other => panic!("unexpected {other:?}"),
-            },
-            other => panic!("unexpected {other:?}"),
-        };
-        assert_eq!(adaptive_kernel(spec.build(4)), DispatchKernel::Scalar);
-        assert_eq!(
-            adaptive_kernel(spec.build(AUTO_INDEXED_MIN_MACHINES)),
-            DispatchKernel::Indexed
-        );
-        match spec.with_kernel(DispatchKernel::Indexed).build(4) {
-            PolicyState::Eft(k) => assert!(matches!(*k, EftKernelState::Indexed(_))),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! `BENCH_PR5.json`).
 //!
 //! Each benchmark streams the same 4,096-task Poisson workload through
-//! `simulate_stream_with_kernel` with the kernel forced, so the measured
+//! `simulate_stream_policy` with the kernel forced (`eft:min:scalar`,
+//! `eft:min:indexed`), so the measured
 //! difference is dispatch cost alone: the scalar oracle scans every
 //! member of each processing set, the indexed kernel answers the same
 //! Equation (2) query through its lane index (a min-tree over the
@@ -22,9 +23,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use flowsched_algos::indexed::DispatchKernel;
+use flowsched_algos::registry::PolicySpec;
 use flowsched_algos::tiebreak::TieBreak;
 use flowsched_obs::NoopRecorder;
-use flowsched_sim::driver::simulate_stream_with_kernel;
+use flowsched_sim::driver::simulate_stream_policy;
 use flowsched_sim::report::ReportConfig;
 use flowsched_workloads::random::{PoissonStream, PoissonStreamConfig, StructureKind};
 
@@ -32,10 +34,9 @@ const TASKS: usize = 4096;
 const MACHINE_COUNTS: [usize; 6] = [64, 256, 1024, 4096, 16384, 65536];
 
 fn run(cfg: &PoissonStreamConfig, kernel: DispatchKernel) -> f64 {
-    simulate_stream_with_kernel(
+    simulate_stream_policy(
         PoissonStream::new(cfg, 7),
-        TieBreak::Min,
-        kernel,
+        &PolicySpec::eft(TieBreak::Min, kernel),
         &ReportConfig::default(),
         &mut NoopRecorder,
     )

@@ -33,12 +33,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use flowsched_algos::eft::{scan_ties, ImmediateDispatcher};
-use flowsched_algos::indexed::{DispatchKernel, EftKernelState};
+use flowsched_algos::indexed::DispatchKernel;
+use flowsched_algos::registry::PolicySpec;
 use flowsched_algos::soa::{scan_ties_simd, CompletionBank};
 use flowsched_algos::tiebreak::TieBreak;
 use flowsched_core::compact::ProcSetRef;
 use flowsched_obs::NoopRecorder;
-use flowsched_sim::driver::simulate_stream_with_kernel;
+use flowsched_sim::driver::simulate_stream_policy;
 use flowsched_sim::report::ReportConfig;
 use flowsched_workloads::random::{PoissonStream, PoissonStreamConfig, StructureKind};
 
@@ -105,7 +106,8 @@ fn bench_dispatch_m20(c: &mut Criterion) {
     ] {
         g.bench_function(format!("build_{name}"), |b| {
             b.iter(|| {
-                black_box(EftKernelState::new(black_box(M), TieBreak::Min, kernel)).machine_count()
+                let spec = PolicySpec::eft(TieBreak::Min, kernel);
+                black_box(spec.build(black_box(M))).machine_count()
             })
         });
     }
@@ -127,10 +129,9 @@ fn bench_dispatch_m20(c: &mut Criterion) {
         g.bench_function(format!("steady_{name}_n{n}"), |b| {
             b.iter(|| {
                 black_box(
-                    simulate_stream_with_kernel(
+                    simulate_stream_policy(
                         PoissonStream::new(black_box(&cfg), 7),
-                        TieBreak::Min,
-                        kernel,
+                        &PolicySpec::eft(TieBreak::Min, kernel),
                         &ReportConfig::default(),
                         &mut NoopRecorder,
                     )

@@ -29,10 +29,11 @@ use std::hint::black_box;
 
 use flowsched_algos::engine::ShardedConfig;
 use flowsched_algos::indexed::DispatchKernel;
+use flowsched_algos::registry::PolicySpec;
 use flowsched_algos::tiebreak::TieBreak;
 use flowsched_core::stream::ArrivalStream;
 use flowsched_obs::NoopRecorder;
-use flowsched_sim::driver::{simulate_stream, simulate_stream_sharded_with};
+use flowsched_sim::driver::{simulate_stream, simulate_stream_policy_sharded};
 use flowsched_sim::report::ReportConfig;
 use flowsched_workloads::random::{PoissonStream, PoissonStreamConfig, StructureKind};
 
@@ -84,10 +85,9 @@ fn bench_sharded_scale(c: &mut Criterion) {
             b.iter(|| {
                 let stream = trace(n);
                 let plan = stream.shard_plan(flowsched_core::shard::DEFAULT_MAX_SHARDS);
-                black_box(simulate_stream_sharded_with(
+                black_box(simulate_stream_policy_sharded(
                     stream,
-                    TieBreak::Min,
-                    DispatchKernel::Auto,
+                    &PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto),
                     &plan,
                     &cfg,
                     &ReportConfig::default(),

@@ -1,5 +1,5 @@
 //! Sharded-engine smoke run (CI stage): dispatches a cluster-partitioned
-//! Poisson trace through `run_immediate_sharded` and prints an FNV-1a
+//! Poisson trace through `run_policy_sharded` and prints an FNV-1a
 //! hash of the full schedule (sequence, machine, start per task).
 //!
 //! `ci_check.sh` runs this twice — `FLOWSCHED_THREADS=1` and `=4` — and

@@ -25,6 +25,7 @@ use crate::procset::ProcSet;
 use crate::shard::ShardPlan;
 use crate::structure::{classify, StructureReport};
 use crate::task::{Task, TaskId};
+use crate::time::Time;
 
 /// A pull-based source of task arrivals in non-decreasing release order.
 ///
@@ -91,6 +92,51 @@ impl<S: ArrivalStream + ?Sized> ArrivalStream for &mut S {
 
     fn shard_plan(&self, max_shards: usize) -> ShardPlan {
         (**self).shard_plan(max_shards)
+    }
+}
+
+/// The engines' boundary check on pulled arrivals: releases are finite
+/// and never decrease, processing times are finite and positive — the
+/// task rule [`Instance::new`] applies, for streams that bypass it.
+/// Every engine loop runs each arrival through one of these before the
+/// dispatcher sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct ArrivalCheck {
+    last_release: Time,
+}
+
+impl Default for ArrivalCheck {
+    fn default() -> Self {
+        ArrivalCheck {
+            last_release: f64::NEG_INFINITY,
+        }
+    }
+}
+
+impl ArrivalCheck {
+    /// Checks the next arrival against the rule and the previous one.
+    ///
+    /// # Panics
+    /// Panics if the release is not finite or is earlier than the
+    /// previous arrival's, or if the processing time is not finite and
+    /// positive.
+    #[inline]
+    pub fn check(&mut self, task: &Task) {
+        assert!(
+            task.release.is_finite() && task.ptime.is_finite() && task.ptime > 0.0,
+            "arrival needs a finite release and a finite positive processing time \
+             (release {}, ptime {})",
+            task.release,
+            task.ptime
+        );
+        assert!(
+            task.release >= self.last_release,
+            "arrival stream must be in non-decreasing release order \
+             ({} after {})",
+            task.release,
+            self.last_release
+        );
+        self.last_release = task.release;
     }
 }
 

@@ -8,7 +8,8 @@
 //! load-oblivious random dispatch shrugs off the adversary but pays a
 //! heavy average-case price; sampled two-choices sits in between.
 
-use flowsched_algos::policies::{dispatch, DispatchRule, Dispatcher};
+use flowsched_algos::policies::{dispatch, DispatchRule};
+use flowsched_algos::registry::PolicySpec;
 use flowsched_algos::tiebreak::TieBreak;
 use flowsched_kvstore::cluster::{ClusterConfig, KvCluster};
 use flowsched_kvstore::replication::ReplicationStrategy;
@@ -56,7 +57,7 @@ pub fn run(scale: &Scale) -> Vec<PolicyRow> {
         let (m, k) = (scale.m, scale.k);
 
         // Adversarial axis: the oblivious Theorem 8 stream.
-        let mut d = Dispatcher::new(m, rule);
+        let mut d = PolicySpec::from(rule).build(m);
         let adversary = run_interval_adversary(&mut d, k, m * m);
         let adversary_fmax = adversary.fmax();
 

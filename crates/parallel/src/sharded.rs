@@ -66,7 +66,7 @@ use flowsched_core::compact::{CompactProcSet, ProcSetRef};
 use flowsched_core::machine::MachineId;
 use flowsched_core::schedule::Assignment;
 use flowsched_core::shard::ShardPlan;
-use flowsched_core::stream::ArrivalStream;
+use flowsched_core::stream::{ArrivalCheck, ArrivalStream};
 use flowsched_core::task::Task;
 
 use flowsched_obs::pipeline::{NoopPipeline, PipelineProbe, Stage, StageTimer};
@@ -198,9 +198,10 @@ fn rebase_view<'a>(
 /// counters — into shared accumulators read after the call.
 ///
 /// # Panics
-/// Panics if the stream and plan disagree on the machine count, if
-/// releases decrease, if an arrival's set straddles a shard boundary
-/// (the plan does not cover the family), or if a worker thread panics.
+/// Panics if the stream and plan disagree on the machine count, if an
+/// arrival fails the [`ArrivalCheck`], if an arrival's set straddles a
+/// shard boundary (the plan does not cover the family), or if a worker
+/// thread panics.
 pub fn run_sharded<S, D, F, M>(
     stream: S,
     plan: &ShardPlan,
@@ -256,16 +257,10 @@ pub fn run_sharded_probed<S, D, F, M, P>(
         // dispatchers, routing, and merge order as the threaded path.
         let mut dispatchers: Vec<D> = (0..shards).map(&mut make_dispatcher).collect();
         let mut scratch: Vec<usize> = Vec::new();
-        let mut last_release = f64::NEG_INFINITY;
+        let mut check = ArrivalCheck::default();
         let mut seq: u64 = 0;
         while let Some((task, set)) = stream.next_arrival() {
-            assert!(
-                task.release >= last_release,
-                "arrival stream must be in non-decreasing release order \
-                 ({} after {last_release})",
-                task.release
-            );
-            last_release = task.release;
+            check.check(&task);
             let t = StageTimer::start(&probe);
             let s = plan.route(&set);
             let base = plan.start_of(s);
@@ -416,16 +411,10 @@ pub fn run_sharded_probed<S, D, F, M, P>(
     // state bounded.
     let high_water = (cfg.queue_cap + 2) * cfg.batch * workers;
 
-    let mut last_release = f64::NEG_INFINITY;
+    let mut check = ArrivalCheck::default();
     let mut seq: u64 = 0;
     while let Some((task, set)) = stream.next_arrival() {
-        assert!(
-            task.release >= last_release,
-            "arrival stream must be in non-decreasing release order \
-             ({} after {last_release})",
-            task.release
-        );
-        last_release = task.release;
+        check.check(&task);
         let t = StageTimer::start(&probe);
         let s = plan.route(&set);
         let w = s % workers;

@@ -81,33 +81,23 @@ pub fn simulate_with<R: Recorder>(
 /// length, the drift window is sized from `len_hint() − warmup` so a
 /// replayed instance reproduces the batch drift exactly.
 ///
-/// Dispatch runs on [`DispatchKernel::Auto`]: large-`m` runs get the
-/// indexed O(log m) kernel, which produces bitwise-identical schedules
-/// (see `flowsched_algos::indexed`). Use
-/// [`simulate_stream_with_kernel`] to force either path.
+/// Dispatch runs on [`DispatchKernel::Auto`], picked once at build from
+/// the stream's [`structure_hint`](ArrivalStream::structure_hint) or
+/// machine count; every kernel produces bitwise-identical schedules
+/// (see `flowsched_algos::indexed`). Use [`simulate_stream_policy`]
+/// with a spec such as `eft:min:scalar` to force one.
 pub fn simulate_stream<S: ArrivalStream, R: Recorder>(
     stream: S,
     policy: TieBreak,
     report: &ReportConfig,
     rec: &mut R,
 ) -> SimReport {
-    simulate_stream_with_kernel(stream, policy, DispatchKernel::Auto, report, rec)
-}
-
-/// [`simulate_stream`] with an explicit dispatch-kernel choice —
-/// `Scalar` forces the linear-scan oracle, `Indexed` forces the
-/// lane-index kernel regardless of machine count (the scaling benches
-/// compare the two this way); `Auto` consults the stream's
-/// [`structure_hint`](ArrivalStream::structure_hint) so narrow sets on
-/// moderate machine counts stay on the scalar path.
-pub fn simulate_stream_with_kernel<S: ArrivalStream, R: Recorder>(
-    stream: S,
-    policy: TieBreak,
-    kernel: DispatchKernel,
-    report: &ReportConfig,
-    rec: &mut R,
-) -> SimReport {
-    simulate_stream_policy(stream, &PolicySpec::eft(policy, kernel), report, rec)
+    simulate_stream_policy(
+        stream,
+        &PolicySpec::eft(policy, DispatchKernel::Auto),
+        report,
+        rec,
+    )
 }
 
 /// [`simulate_stream`] for an arbitrary registry policy: the
@@ -137,7 +127,7 @@ pub fn simulate_stream_policy<S: ArrivalStream, R: Recorder>(
 /// [`simulate_stream`] on the sharded engine: the stream's own
 /// [`shard_plan`](ArrivalStream::shard_plan) partitions the machines
 /// into clusters, each cluster dispatches on its own worker thread
-/// ([`flowsched_algos::engine::run_immediate_sharded`]), and the report
+/// ([`flowsched_algos::engine::run_policy_sharded`]), and the report
 /// folds on the calling thread in arrival order — so for `Min`/`Max`
 /// tie-breaks the result is bitwise-identical to [`simulate_stream`]
 /// at every thread count (pinned by `tests/sharded_equivalence.rs`).
@@ -150,10 +140,9 @@ pub fn simulate_stream_sharded<S: ArrivalStream, R: Recorder>(
     rec: &mut R,
 ) -> SimReport {
     let plan = stream.shard_plan(flowsched_core::shard::DEFAULT_MAX_SHARDS);
-    simulate_stream_sharded_with(
+    simulate_stream_policy_sharded(
         stream,
-        policy,
-        DispatchKernel::Auto,
+        &PolicySpec::eft(policy, DispatchKernel::Auto),
         &plan,
         &ShardedConfig::default(),
         report,
@@ -161,34 +150,13 @@ pub fn simulate_stream_sharded<S: ArrivalStream, R: Recorder>(
     )
 }
 
-/// [`simulate_stream_sharded`] with every knob exposed: an explicit
-/// kernel choice, shard plan, and [`ShardedConfig`] (thread count,
-/// batch size, queue depth). `Auto` resolves per shard on the shard's
-/// width inside the engine.
-pub fn simulate_stream_sharded_with<S: ArrivalStream, R: Recorder>(
-    stream: S,
-    policy: TieBreak,
-    kernel: DispatchKernel,
-    plan: &flowsched_core::shard::ShardPlan,
-    cfg: &ShardedConfig,
-    report: &ReportConfig,
-    rec: &mut R,
-) -> SimReport {
-    simulate_stream_policy_sharded(
-        stream,
-        &PolicySpec::eft(policy, kernel),
-        plan,
-        cfg,
-        report,
-        rec,
-    )
-}
-
-/// [`simulate_stream_policy`] on the sharded engine: each machine
-/// cluster runs a shard-local policy built via
+/// [`simulate_stream_policy`] on the sharded engine, with the shard
+/// plan and [`ShardedConfig`] (thread count, batch size, queue depth)
+/// explicit: each machine cluster runs a shard-local policy built via
 /// [`PolicySpec::for_shard`] (seeded tie-breaks re-seed per shard
-/// exactly as the sequential-vs-sharded equivalence expects) and the
-/// report folds on the calling thread in arrival order.
+/// exactly as the sequential-vs-sharded equivalence expects; `Auto`
+/// resolves on the shard's width) and the report folds on the calling
+/// thread in arrival order.
 pub fn simulate_stream_policy_sharded<S: ArrivalStream, R: Recorder>(
     stream: S,
     spec: &PolicySpec,

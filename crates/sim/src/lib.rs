@@ -31,8 +31,7 @@ pub mod telemetry;
 pub use driver::{
     profile_trace, simulate, simulate_stream, simulate_stream_faulty,
     simulate_stream_faulty_sharded, simulate_stream_policy, simulate_stream_policy_sharded,
-    simulate_stream_policy_sharded_probed, simulate_stream_sharded, simulate_stream_sharded_with,
-    simulate_stream_with_kernel, simulate_with, SimConfig,
+    simulate_stream_policy_sharded_probed, simulate_stream_sharded, simulate_with, SimConfig,
 };
 pub use report::{ReportBuilder, ReportConfig, SimReport};
 pub use stepped::{

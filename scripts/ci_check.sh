@@ -14,41 +14,45 @@
 #   4. heavy soak tests in release mode: tests/soak.rs's #[ignore]d
 #      runs (200k requests; the interval adversary at m = 64), which
 #      guard the hot paths against quadratic blow-ups
-#   5. clippy with warnings promoted to errors
-#   6. rustdoc with warnings promoted to errors (broken intra-doc
+#   5. the end-to-end benchmark's own build and tests (cargo test
+#      --release --offline --manifest-path flowbench/Cargo.toml):
+#      flowbench is its own workspace, so stage 3 never compiles it,
+#      yet it drives the public run surface
+#   6. clippy with warnings promoted to errors
+#   7. rustdoc with warnings promoted to errors (broken intra-doc
 #      links, missing docs on public items)
-#   7. large-m smoke run: 100k-machine streams through the indexed
+#   8. large-m smoke run: 100k-machine streams through the indexed
 #      dispatch kernel (cargo run --release -p flowsched-bench --bin
 #      smoke_scale), panicking on any degenerate report
-#   8. sharded determinism smoke: the sharded_smoke bin runs under
+#   9. sharded determinism smoke: the sharded_smoke bin runs under
 #      FLOWSCHED_THREADS=1 and =4 and the printed schedule hashes must
 #      be identical (thread-count invariance, end to end)
-#   9. fault-injection soak: the fault_soak bin dispatches a 1M-task
+#  10. fault-injection soak: the fault_soak bin dispatches a 1M-task
 #      Poisson stream under a 1% crash-rate fault plan, asserting
 #      bounded memory (VmHWM growth < 32 MiB) in-process; the stage
 #      asserts the schedule hash is identical under FLOWSCHED_THREADS=1
 #      and =4 (the faulty engine is thread-count invariant too)
-#  10. competitive-ratio ladder: the ratio_ladder bin runs every
+#  11. competitive-ratio ladder: the ratio_ladder bin runs every
 #      registry policy (eft / weft / setup variants) over its
 #      adversarial stream and asserts the measured ratios stay inside
 #      the envelopes recorded in EXPERIMENTS.md
-#  11. pipeline-profile smoke: the pipeline_profile bin runs a bounded
+#  12. pipeline-profile smoke: the pipeline_profile bin runs a bounded
 #      trace through the sequential and the probe-instrumented sharded
 #      engine, asserting in-process that the two schedules hash
 #      identically (the wall-clock probe must never perturb dispatch)
 #      and printing the per-stage ns/task table
-#  12. hardware-limit smoke: the same smoke_scale bin re-run at
+#  13. hardware-limit smoke: the same smoke_scale bin re-run at
 #      m = 2^20 via FLOWSCHED_SMOKE_M/N — the SoA completion bank, the
 #      SIMD tie scan, and the lane index (a min-tree over the bank's
 #      2^17 cache-line lanes, ~2·next_pow2(⌈m/8⌉) f64 ≈ 2 MiB) at the
 #      million-machine scale
-#  13. bench gate (warn-only): scripts/bench_gate.sh re-runs the benches
+#  14. bench gate (warn-only): scripts/bench_gate.sh re-runs the benches
 #      behind BENCH_PR1/PR3/PR4/PR5/PR6/PR9/PR10.json and reports
 #      medians that drifted past the noise tolerance — it never fails
 #      the build
 #
 # Usage:
-#   scripts/ci_check.sh                 # all thirteen stages
+#   scripts/ci_check.sh                 # all fourteen stages
 #   scripts/ci_check.sh --no-clippy     # skip the lint stage (e.g. when
 #                                       # the toolchain lacks clippy)
 #   scripts/ci_check.sh --no-bench-gate # skip the (slow) bench stage
@@ -79,6 +83,10 @@ cargo test -q
 echo
 echo "== heavy soak tests (release, --ignored) =="
 cargo test -q --release --test soak -- --ignored
+
+echo
+echo "== flowbench build + tests (its own workspace) =="
+cargo test -q --release --offline --manifest-path flowbench/Cargo.toml
 
 if [ "$RUN_CLIPPY" = 1 ]; then
   echo

@@ -237,8 +237,10 @@ fn warm_started_unit_fmax_matches_seed_binary_search_on_200_instances() {
 // against the scalar linear-scan oracle.
 // ---------------------------------------------------------------------------
 
-use flowsched::algos::eft::{eft_stream_with_kernel, EftState, ImmediateDispatcher};
-use flowsched::algos::indexed::{DispatchKernel, EftKernelState};
+use flowsched::algos::eft::{EftState, ImmediateDispatcher};
+use flowsched::algos::engine::policy_schedule;
+use flowsched::algos::indexed::{DispatchKernel, IndexedEftState};
+use flowsched::algos::registry::PolicySpec;
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::core::compact::ProcSetRef;
 use flowsched::obs::MemoryRecorder;
@@ -306,8 +308,8 @@ proptest! {
         let tb = tiebreak_for(tb_idx, seed ^ 0x7ea5);
 
         let mut scalar = EftState::new(m, tb);
-        let mut indexed = EftKernelState::new(m, tb, DispatchKernel::Indexed);
-        let mut ranged = EftKernelState::new(m, tb, DispatchKernel::Indexed);
+        let mut indexed = IndexedEftState::new(m, tb);
+        let mut ranged = IndexedEftState::new(m, tb);
         for (id, task, set) in inst.iter() {
             let a = scalar.dispatch(task, set);
             let b = indexed.dispatch_task(task, set.view());
@@ -340,8 +342,8 @@ proptest! {
     }
 }
 
-/// Full-pipeline equivalence: `eft_stream_with_kernel` forced to
-/// `Scalar` vs forced to `Indexed` must produce the same [`Schedule`]
+/// Full-pipeline equivalence: `eft:<tie>:scalar` vs `eft:<tie>:indexed`
+/// through `policy_schedule` must produce the same [`Schedule`]
 /// *and* the same recorder event trace — the engine derives busy/idle
 /// transitions from assignments, so identical schedules must leave
 /// identical observability behind.
@@ -364,17 +366,15 @@ fn stream_kernels_produce_identical_schedules_and_traces() {
             let inst = random_instance(&config, 0xD15);
 
             let mut rec_scalar = MemoryRecorder::with_defaults(m);
-            let scalar = eft_stream_with_kernel(
+            let scalar = policy_schedule(
                 InstanceStream::new(&inst),
-                tb,
-                DispatchKernel::Scalar,
+                &PolicySpec::eft(tb, DispatchKernel::Scalar),
                 &mut rec_scalar,
             );
             let mut rec_indexed = MemoryRecorder::with_defaults(m);
-            let indexed = eft_stream_with_kernel(
+            let indexed = policy_schedule(
                 InstanceStream::new(&inst),
-                tb,
-                DispatchKernel::Indexed,
+                &PolicySpec::eft(tb, DispatchKernel::Indexed),
                 &mut rec_indexed,
             );
 
@@ -399,16 +399,14 @@ fn auto_kernel_is_always_one_of_the_two_paths() {
     for m in [AUTO_INDEXED_MIN_MACHINES / 2, 2 * AUTO_INDEXED_MIN_MACHINES] {
         let config = RandomInstanceConfig::unit_tasks(m, 300, StructureKind::IntervalFixed(m / 3));
         let inst = random_instance(&config, 9);
-        let auto = eft_stream_with_kernel(
+        let auto = policy_schedule(
             InstanceStream::new(&inst),
-            TieBreak::Min,
-            DispatchKernel::Auto,
+            &PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto),
             &mut flowsched::obs::NoopRecorder,
         );
-        let forced = eft_stream_with_kernel(
+        let forced = policy_schedule(
             InstanceStream::new(&inst),
-            TieBreak::Min,
-            DispatchKernel::Scalar,
+            &PolicySpec::eft(TieBreak::Min, DispatchKernel::Scalar),
             &mut flowsched::obs::NoopRecorder,
         );
         assert_eq!(auto, forced, "m = {m}");

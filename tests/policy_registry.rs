@@ -3,22 +3,27 @@
 //! 1. **One construction path, zero drift**: a registry-built policy
 //!    produces the *bitwise-identical* schedule and recorder trace to
 //!    the directly-constructed dispatcher it names — across workload
-//!    families, tie-breaks, kernels, and sequential vs sharded engines.
+//!    families, tie-breaks, kernels, and sequential vs sharded engines —
+//!    and `Auto` resolves once, at build, to the kernel the benchmark
+//!    shapes expect.
 //! 2. **Names are total**: every [`PolicySpec`] round-trips through its
 //!    registry string (`spec.to_string().parse() == spec`), for random
-//!    specs and for the curated [`PolicySpec::examples`].
+//!    specs and for the curated [`PolicySpec::examples`]; the parser
+//!    never panics on arbitrary text, and whatever it accepts
+//!    round-trips.
 //! 3. **The frontier degenerates cleanly**: `weft@0` and `setup@0`
 //!    (both variants) reproduce plain scalar EFT bitwise, including the
 //!    tie-break RNG draws.
 
 use proptest::prelude::*;
 
+use flowsched::algos::eft::EftState;
 use flowsched::algos::engine::{
     immediate_schedule, policy_schedule, policy_schedule_sharded, ShardedConfig,
 };
-use flowsched::algos::indexed::{DispatchKernel, EftKernelState};
+use flowsched::algos::indexed::{DispatchKernel, IndexedEftState};
 use flowsched::algos::policies::{DispatchRule, Dispatcher};
-use flowsched::algos::registry::{PolicyId, PolicySpec};
+use flowsched::algos::registry::{PolicyId, PolicySpec, PolicyState};
 use flowsched::algos::setup::SetupEftState;
 use flowsched::algos::soa::ScanImpl;
 use flowsched::algos::tiebreak::TieBreak;
@@ -91,33 +96,35 @@ fn arb_spec() -> impl Strategy<Value = PolicySpec> {
     })
 }
 
-/// The pre-registry construction path, reproduced literally: resolve
-/// the kernel against the stream, build the concrete dispatcher state,
-/// run the shared engine. The registry must never drift from this.
+/// The construction the spec names, done by hand: the concrete
+/// dispatcher state, run on the shared engine. The registry must never
+/// drift from this. An `Auto` spec may resolve to either kernel; both
+/// must match the scalar oracle built here.
 fn direct_schedule<S: ArrivalStream, R: Recorder>(
     stream: S,
     spec: &PolicySpec,
     rec: &mut R,
 ) -> Schedule {
-    let kernel = spec.kernel.resolve_for_stream(&stream);
     let m = stream.machines();
     match spec.id {
+        PolicyId::Eft { tie } if spec.kernel == DispatchKernel::Indexed => {
+            let mut state = IndexedEftState::with_scan(m, tie, spec.scan);
+            immediate_schedule(stream, &mut state, rec)
+        }
         PolicyId::Eft { tie } => {
-            let mut state = EftKernelState::with_scan(m, tie, kernel, spec.scan);
+            let mut state = EftState::with_scan(m, tie, spec.scan);
             immediate_schedule(stream, &mut state, rec)
         }
         PolicyId::Random { seed } => {
-            let mut state =
-                Dispatcher::with_kernel(m, DispatchRule::RandomMachine { seed }, kernel);
+            let mut state = Dispatcher::new(m, DispatchRule::RandomMachine { seed });
             immediate_schedule(stream, &mut state, rec)
         }
         PolicyId::Choices { d, seed } => {
-            let mut state =
-                Dispatcher::with_kernel(m, DispatchRule::TwoChoices { d, seed }, kernel);
+            let mut state = Dispatcher::new(m, DispatchRule::TwoChoices { d, seed });
             immediate_schedule(stream, &mut state, rec)
         }
         PolicyId::RoundRobin => {
-            let mut state = Dispatcher::with_kernel(m, DispatchRule::RoundRobin, kernel);
+            let mut state = Dispatcher::new(m, DispatchRule::RoundRobin);
             immediate_schedule(stream, &mut state, rec)
         }
         PolicyId::WeightedEft { tie, slack } => {
@@ -127,6 +134,61 @@ fn direct_schedule<S: ArrivalStream, R: Recorder>(
         PolicyId::SetupEft { tie, cost, aware } => {
             let mut state = SetupEftState::new(m, tie, cost, aware);
             immediate_schedule(stream, &mut state, rec)
+        }
+    }
+}
+
+/// Grammar words and `@` arguments the spec fuzzer strings together.
+const WORDS: &str = "eft rr random choices weft setup setup-obl min max rand auto scalar \
+    indexed simd scalar-scan";
+const ARGS: &str = "0 7 2.5 -1 -0 +4 1e3 1e400 1e-400 nan inf 18446744073709551616 0x10 \
+    2,9 0,5 2, ,3";
+
+/// One fuzz string: each `(pick, raw)` piece is one segment — a grammar
+/// word, a word with an `@` argument, or one arbitrary character (ASCII
+/// for even `raw`, any code point for odd) — and segments are joined by
+/// `:` except when `raw` is a multiple of 8.
+fn fuzz_string(pieces: &[(usize, u32)]) -> String {
+    let words: Vec<&str> = WORDS.split_whitespace().collect();
+    let args: Vec<&str> = ARGS.split_whitespace().collect();
+    let mut out = String::new();
+    for (i, &(pick, raw)) in pieces.iter().enumerate() {
+        if i > 0 && raw % 8 != 0 {
+            out.push(':');
+        }
+        match pick {
+            p if p < words.len() => out.push_str(words[p]),
+            p if p < 2 * words.len() => {
+                out.push_str(words[p - words.len()]);
+                out.push('@');
+                out.push_str(args[raw as usize % args.len()]);
+            }
+            _ if raw % 2 == 0 => out.push(char::from((raw >> 1) as u8 & 0x7f)),
+            _ => out.push(char::from_u32(raw % 0x11_0000).unwrap_or('\u{fffd}')),
+        }
+    }
+    out
+}
+
+proptest! {
+    // Parsing costs microseconds; most strings fail, so many cases are
+    // needed for a few hundred accepted ones.
+    #![proptest_config(ProptestConfig::with_cases(16384))]
+
+    /// Contract 2 on arbitrary text: parsing never panics, and every
+    /// accepted string names a spec that round-trips through its own
+    /// `to_string()`. Strings mix grammar tokens (so many parse) with
+    /// arbitrary characters (so most of the error paths run).
+    #[test]
+    fn spec_parser_never_panics_and_accepted_specs_round_trip(
+        pieces in prop::collection::vec((0usize..36, any::<u32>()), 0..6),
+    ) {
+        let s = fuzz_string(&pieces);
+        if let Ok(spec) = s.parse::<PolicySpec>() {
+            let printed = spec.to_string();
+            let back: PolicySpec = printed.parse()
+                .unwrap_or_else(|e| panic!("`{s}` parsed, but its form `{printed}` did not: {e}"));
+            prop_assert_eq!(back, spec, "`{}` → `{}` was lossy", s, printed);
         }
     }
 }
@@ -258,5 +320,62 @@ fn examples_round_trip_and_build() {
         let state = spec.build(8);
         use flowsched::algos::eft::ImmediateDispatcher;
         assert_eq!(state.machine_count(), 8, "{spec}: wrong machine count");
+    }
+}
+
+/// `eft:min` resolves its kernel once, at build, to the kernel each
+/// benchmark shape is meant to run. Builds the state only.
+#[test]
+fn auto_resolves_once_at_build_for_the_benchmark_shapes() {
+    use flowsched::kvstore::replication::ReplicationStrategy;
+    use flowsched::stats::rng::derive_rng;
+    use flowsched::stats::service::ServiceDist;
+    use flowsched::workloads::trace::{TraceConfig, TraceStream};
+
+    let spec: PolicySpec = "eft:min".parse().expect("valid policy string");
+    let kernel = |state: PolicyState| match state {
+        PolicyState::Scalar(_) => DispatchKernel::Scalar,
+        PolicyState::Indexed(_) => DispatchKernel::Indexed,
+        other => panic!("eft built {other:?}"),
+    };
+
+    // The Fig. 11 key-value trace: no structure hint, m = 15.
+    let kv = TraceStream::new(
+        &TraceConfig {
+            m: 15,
+            k: 3,
+            strategy: ReplicationStrategy::Overlapping,
+            num_keys: 1000,
+            key_bias: 1.0,
+            lambda: 7.5,
+            service: ServiceDist::unit(),
+        },
+        100,
+        derive_rng(1, 2),
+    );
+    assert!(kv.structure_hint().is_none());
+    assert_eq!(kernel(spec.build_for_stream(&kv)), DispatchKernel::Scalar);
+
+    // Ring k = 3 on 256 machines: narrower than indexed_min_width(256).
+    let ring = PoissonStream::new(
+        &PoissonStreamConfig::unit_tasks(256, 100, 179.2, StructureKind::RingFixed(3)),
+        1,
+    );
+    assert_eq!(kernel(spec.build_for_stream(&ring)), DispatchKernel::Scalar);
+
+    // 64-wide intervals on 2^20 machines.
+    let m = 1 << 20;
+    let wide = PoissonStream::new(
+        &PoissonStreamConfig::unit_tasks(m, 100, m as f64 / 2.0, StructureKind::IntervalFixed(64)),
+        1,
+    );
+    assert_eq!(
+        kernel(spec.build_for_stream(&wide)),
+        DispatchKernel::Indexed
+    );
+
+    // A 16-machine shard of the disjoint workload builds on its width.
+    for s in [0, 1, 15] {
+        assert_eq!(kernel(spec.for_shard(s).build(16)), DispatchKernel::Scalar);
     }
 }

@@ -2,7 +2,7 @@
 //! streaming engine.
 //!
 //! The sharded engine (`flowsched_parallel::sharded` driven through
-//! `engine::run_immediate_sharded`) partitions the machines by cluster,
+//! `engine::run_policy_sharded`) partitions the machines by cluster,
 //! dispatches each shard on its own worker, and merges the decisions
 //! back in arrival order. These tests pin the contract from ISSUE 6:
 //! for `Min`/`Max` tie-breaks the schedule, the `SimReport`, and the
@@ -17,13 +17,14 @@
 use proptest::prelude::*;
 
 use flowsched::algos::eft::eft_stream;
-use flowsched::algos::engine::{immediate_schedule_sharded, ShardedConfig};
+use flowsched::algos::engine::{policy_schedule_sharded, ShardedConfig};
 use flowsched::algos::indexed::DispatchKernel;
+use flowsched::algos::registry::PolicySpec;
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::core::shard::{ShardPlan, DEFAULT_MAX_SHARDS};
 use flowsched::core::stream::ArrivalStream;
 use flowsched::obs::{MemoryRecorder, NoopRecorder};
-use flowsched::sim::driver::{simulate_stream, simulate_stream_sharded_with};
+use flowsched::sim::driver::{simulate_stream, simulate_stream_policy_sharded};
 use flowsched::sim::report::ReportConfig;
 use flowsched::workloads::random::{PoissonStream, PoissonStreamConfig, StructureKind};
 
@@ -71,10 +72,9 @@ proptest! {
         let stream = stream_for(kind, m, n, seed);
         let plan = stream.shard_plan(DEFAULT_MAX_SHARDS);
         let mut shard_rec = MemoryRecorder::with_defaults(m);
-        let sharded = immediate_schedule_sharded(
+        let sharded = policy_schedule_sharded(
             stream,
-            tb,
-            DispatchKernel::Auto,
+            &PolicySpec::eft(tb, DispatchKernel::Auto),
             &plan,
             &ShardedConfig::with_threads(threads),
             &mut shard_rec,
@@ -124,10 +124,9 @@ proptest! {
             batch: if tiny { 3 } else { 256 },
             queue_cap: if tiny { 1 } else { 4 },
         };
-        let sharded = simulate_stream_sharded_with(
+        let sharded = simulate_stream_policy_sharded(
             stream,
-            TieBreak::Min,
-            DispatchKernel::Auto,
+            &PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto),
             &plan,
             &cfg,
             &report_cfg,
@@ -158,10 +157,9 @@ proptest! {
         let stream = stream_for(kind, m, n, seed);
         let plan = stream.shard_plan(DEFAULT_MAX_SHARDS);
         prop_assert!(plan.is_single(), "unrestricted sets must not shard");
-        let sharded = immediate_schedule_sharded(
+        let sharded = policy_schedule_sharded(
             stream,
-            tb,
-            DispatchKernel::Auto,
+            &PolicySpec::eft(tb, DispatchKernel::Auto),
             &plan,
             &ShardedConfig::with_threads(threads),
             &mut NoopRecorder,
@@ -186,10 +184,9 @@ proptest! {
         let run = |threads: usize| {
             let stream = stream_for(kind, m, n, seed);
             let plan = stream.shard_plan(DEFAULT_MAX_SHARDS);
-            immediate_schedule_sharded(
+            policy_schedule_sharded(
                 stream,
-                tb,
-                DispatchKernel::Auto,
+                &PolicySpec::eft(tb, DispatchKernel::Auto),
                 &plan,
                 &ShardedConfig::with_threads(threads),
                 &mut NoopRecorder,
@@ -216,10 +213,9 @@ fn straddling_set_panics_instead_of_misrouting() {
     let inst = b.build().unwrap();
     let plan = ShardPlan::blocks(4, 2, DEFAULT_MAX_SHARDS);
     assert_eq!(plan.shards(), 2);
-    let _ = immediate_schedule_sharded(
+    let _ = policy_schedule_sharded(
         InstanceStream::new(&inst),
-        TieBreak::Min,
-        DispatchKernel::Auto,
+        &PolicySpec::eft(TieBreak::Min, DispatchKernel::Auto),
         &plan,
         &ShardedConfig::with_threads(2),
         &mut NoopRecorder,
@@ -243,10 +239,9 @@ fn instance_stream_hull_plan_round_trips() {
     for tb in [TieBreak::Min, TieBreak::Max] {
         let sequential = eft_stream(InstanceStream::new(&inst), tb, &mut NoopRecorder);
         for threads in [1, 3] {
-            let sharded = immediate_schedule_sharded(
+            let sharded = policy_schedule_sharded(
                 InstanceStream::new(&inst),
-                tb,
-                DispatchKernel::Auto,
+                &PolicySpec::eft(tb, DispatchKernel::Auto),
                 &plan,
                 &ShardedConfig::with_threads(threads),
                 &mut NoopRecorder,

@@ -10,19 +10,19 @@
 //! 2. **Scan choice is dispatch-invariant**: a full [`EftState`] run on
 //!    `ScanImpl::Simd` matches `ScanImpl::Scalar` assignment-for-
 //!    assignment under every tie-break, RNG draws included.
-//! 3. **Mid-stream kernel switches are transparent**: the adaptive
-//!    `Auto` wrapper ([`AdaptiveEftState`]) — which re-resolves its
-//!    kernel from live structure classification and *actually switches*
-//!    mid-stream when the family degrades — produces the bitwise-same
-//!    schedule and recorder trace as both forced kernels, across
-//!    families × tie-breaks.
+//! 3. **The kernel choice is invisible**: the scalar and the indexed
+//!    kernel agree dispatch for dispatch on a stream whose structure
+//!    breaks mid-stream, so a kernel switch at any arrival would change
+//!    nothing; and `Auto`, resolved once at build on a hint-less stream,
+//!    produces the bitwise-same schedule and recorder trace as both
+//!    forced kernels on either side of the machine-count threshold.
 
 use proptest::prelude::*;
 
-use flowsched::algos::adaptive::AdaptiveEftState;
 use flowsched::algos::eft::{scan_ties, EftState};
-use flowsched::algos::engine::immediate_schedule;
-use flowsched::algos::indexed::{DispatchKernel, EftKernelState, IndexedEftState};
+use flowsched::algos::engine::policy_schedule;
+use flowsched::algos::indexed::{DispatchKernel, IndexedEftState, AUTO_INDEXED_MIN_MACHINES};
+use flowsched::algos::registry::PolicySpec;
 use flowsched::algos::soa::{scan_ties_simd, CompletionBank, ScanImpl};
 use flowsched::algos::tiebreak::TieBreak;
 use flowsched::core::compact::ProcSetRef;
@@ -115,11 +115,10 @@ proptest! {
         prop_assert_eq!(simd.completions(), scalar.completions());
     }
 
-    /// Contract 3: the adaptive wrapper matches both forced kernels per
-    /// dispatch, through an actual mid-stream downgrade — the stream
-    /// opens with > warmup structured interval arrivals (the classifier
-    /// keeps the index) and degrades into scattered explicit sets (the
-    /// classifier forces a switch to the scalar kernel).
+    /// Contract 3: scalar ≡ indexed per dispatch on a stream that opens
+    /// with structured interval arrivals and degrades into scattered
+    /// explicit two-member sets — the indexed kernel's cluster index
+    /// and overlap fallback both run, and neither may diverge.
     #[test]
     fn mid_stream_kernel_switches_are_transparent(
         m_extra in 0usize..64,
@@ -140,68 +139,71 @@ proptest! {
             let b = (a + 1 + rng.next() % (m - 1)) % m;
             sets.push(vec![a.min(b), a.max(b)]);
         }
-        let mut adaptive = AdaptiveEftState::new(m, tie);
         let mut scalar = EftState::new(m, tie);
         let mut indexed = IndexedEftState::new(m, tie);
         for (i, set) in sets.iter().enumerate() {
             let task = Task::new(i as f64 * 0.125, 0.5 + (i % 3) as f64 * 0.25);
             let view = ProcSetRef::Explicit(set);
-            let got = adaptive.dispatch_ref(task, view);
-            prop_assert_eq!(got, scalar.dispatch_ref(task, view), "vs scalar @{}", i);
-            prop_assert_eq!(got, indexed.dispatch_ref(task, view), "vs indexed @{}", i);
+            prop_assert_eq!(
+                scalar.dispatch_ref(task, view),
+                indexed.dispatch_ref(task, view),
+                "diverged @{}", i
+            );
         }
-        prop_assert!(
-            adaptive.switches() > 0,
-            "the degrading stream must force a real kernel switch"
-        );
-        prop_assert_eq!(adaptive.current_kernel(), DispatchKernel::Scalar);
-        prop_assert_eq!(adaptive.completions(), scalar.completions());
+        prop_assert_eq!(indexed.completions(), scalar.completions());
     }
 }
 
-/// Contract 3 at the engine level: on a hint-less stream, `Auto` (the
-/// adaptive wrapper) produces the bitwise-identical schedule *and
-/// recorder event trace* to both forced kernels — the switch is
-/// invisible to every observer of the run.
+/// Contract 3 at the engine level: on a hint-less stream, `Auto`
+/// resolves by machine count once, at build, and produces the
+/// bitwise-identical schedule *and recorder event trace* to both forced
+/// kernels — below the threshold (where it runs scalar) and above it
+/// (where it runs indexed), through the same structure break.
 #[test]
-fn adaptive_trace_is_bitwise_identical_to_forced_kernels() {
-    let m = 96;
-    let stream = |i: usize| -> (Task, ProcSet) {
-        let task = Task::new(i as f64 * 0.2, 1.0 + (i % 4) as f64 * 0.25);
-        let set = if i < 70 {
-            let lo = (i * 5) % (m / 2);
-            ProcSet::interval(lo, lo + m / 3)
-        } else {
-            let a = (i * 17) % m;
-            let b = (a + m / 2 + i % 7) % m;
-            ProcSet::new(vec![a, b])
+fn auto_trace_is_bitwise_identical_to_forced_kernels() {
+    for m in [
+        AUTO_INDEXED_MIN_MACHINES / 2,
+        AUTO_INDEXED_MIN_MACHINES + 32,
+    ] {
+        let stream = move |i: usize| -> (Task, ProcSet) {
+            let task = Task::new(i as f64 * 0.2, 1.0 + (i % 4) as f64 * 0.25);
+            let set = if i < 70 {
+                let lo = (i * 5) % (m / 2);
+                ProcSet::interval(lo, lo + m / 3)
+            } else {
+                let a = (i * 17) % m;
+                let b = (a + m / 2 + i % 7) % m;
+                ProcSet::new(vec![a, b])
+            };
+            (task, set)
         };
-        (task, set)
-    };
-    for tie in TIES {
-        let run = |kernel: DispatchKernel| {
-            let next = std::cell::Cell::new(0usize);
-            let arrivals = FnStream::new(m, move || {
-                let i = next.get();
-                if i >= 160 {
-                    return None;
-                }
-                next.set(i + 1);
-                Some(stream(i))
-            });
-            let mut state = EftKernelState::new(m, tie, kernel);
-            let mut rec = MemoryRecorder::with_defaults(m);
-            let sched = immediate_schedule(arrivals, &mut state, &mut rec);
-            (sched, rec.trace().to_vec())
-        };
-        let (auto_sched, auto_trace) = run(DispatchKernel::Auto);
-        for forced in [DispatchKernel::Scalar, DispatchKernel::Indexed] {
-            let (sched, trace) = run(forced);
-            assert_eq!(
-                auto_sched, sched,
-                "{tie:?}: schedule diverged vs {forced:?}"
-            );
-            assert_eq!(auto_trace, trace, "{tie:?}: trace diverged vs {forced:?}");
+        for tie in TIES {
+            let run = |kernel: DispatchKernel| {
+                let next = std::cell::Cell::new(0usize);
+                let arrivals = FnStream::new(m, move || {
+                    let i = next.get();
+                    if i >= 160 {
+                        return None;
+                    }
+                    next.set(i + 1);
+                    Some(stream(i))
+                });
+                let mut rec = MemoryRecorder::with_defaults(m);
+                let sched = policy_schedule(arrivals, &PolicySpec::eft(tie, kernel), &mut rec);
+                (sched, rec.trace().to_vec())
+            };
+            let (auto_sched, auto_trace) = run(DispatchKernel::Auto);
+            for forced in [DispatchKernel::Scalar, DispatchKernel::Indexed] {
+                let (sched, trace) = run(forced);
+                assert_eq!(
+                    auto_sched, sched,
+                    "m={m} {tie:?}: schedule diverged vs {forced:?}"
+                );
+                assert_eq!(
+                    auto_trace, trace,
+                    "m={m} {tie:?}: trace diverged vs {forced:?}"
+                );
+            }
         }
     }
 }
