@@ -30,6 +30,8 @@ pub enum CoreError {
     UnscheduledTask { task: TaskId },
     /// A schedule has more assignments than the instance has tasks.
     ExtraAssignments { expected: usize, got: usize },
+    /// A task's start time is not finite.
+    InvalidStartTime { task: TaskId, start: Time },
     /// A task was started before its release time.
     StartedBeforeRelease {
         task: TaskId,
@@ -75,6 +77,9 @@ impl fmt::Display for CoreError {
                 f,
                 "schedule has {got} assignments but the instance has {expected} tasks"
             ),
+            CoreError::InvalidStartTime { task, start } => {
+                write!(f, "task {task} has invalid start time {start}")
+            }
             CoreError::StartedBeforeRelease {
                 task,
                 start,

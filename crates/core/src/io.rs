@@ -185,6 +185,39 @@ mod tests {
     }
 
     #[test]
+    fn large_instance_round_trips_in_linear_time() {
+        // 10⁵ tasks on 15 machines with 3 replicas each (~11 MB of
+        // JSON): the string parser must not rescan the rest of the
+        // document per character.
+        let m = 15;
+        let mut b = InstanceBuilder::new(m);
+        for i in 0..100_000 {
+            b.push(
+                Task::new(i as f64 * 0.25, 1.0 + (i % 7) as f64 / 4.0),
+                ProcSet::ring_interval(i % m, 3, m),
+            );
+        }
+        let inst = b.build().unwrap();
+        let back = instance_from_json(&instance_to_json(&inst)).unwrap();
+        assert_eq!(back, inst);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(instance_from_json(&"[".repeat(20_000)).is_err());
+        let (inst, _) = demo();
+        assert!(schedule_from_json(&"{\"assignments\":[".repeat(20_000), &inst).is_err());
+    }
+
+    #[test]
+    fn infinite_start_is_rejected() {
+        let (inst, _) = demo();
+        let json = r#"{"assignments":[[0,0],[2,1e400]]}"#;
+        let err = schedule_from_json(json, &inst).unwrap_err();
+        assert!(err.contains("invalid start time inf"), "{err}");
+    }
+
+    #[test]
     fn garbage_json_is_an_error_not_a_panic() {
         assert!(instance_from_json("{not json").is_err());
         let (inst, _) = demo();

@@ -38,7 +38,9 @@ impl MachineId {
 
 impl fmt::Display for MachineId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "M{}", self.paper_index())
+        // Widened: a schedule file can name machine `usize::MAX`, and
+        // the error reporting it must not overflow.
+        write!(f, "M{}", self.0 as u128 + 1)
     }
 }
 
@@ -61,6 +63,7 @@ mod tests {
     fn display_is_one_based() {
         assert_eq!(MachineId(0).to_string(), "M1");
         assert_eq!(MachineId(14).to_string(), "M15");
+        assert_eq!(MachineId(usize::MAX).to_string(), "M18446744073709551616");
     }
 
     #[test]

@@ -161,8 +161,8 @@ impl Schedule {
     }
 
     /// Validates the schedule against its instance. Checks, in order:
-    /// assignment count, release-time respect, processing-set membership,
-    /// and per-machine non-overlap.
+    /// assignment count, finite starts, release-time respect,
+    /// processing-set membership, and per-machine non-overlap.
     pub fn validate(&self, inst: &Instance) -> Result<(), CoreError> {
         if self.assignments.len() != inst.len() {
             if self.assignments.len() < inst.len() {
@@ -177,6 +177,12 @@ impl Schedule {
         }
         for (id, task, set) in inst.iter() {
             let a = self.assignments[id.0];
+            if !a.start.is_finite() {
+                return Err(CoreError::InvalidStartTime {
+                    task: id,
+                    start: a.start,
+                });
+            }
             if a.start < task.release - crate::time::TIME_EPS {
                 return Err(CoreError::StartedBeforeRelease {
                     task: id,

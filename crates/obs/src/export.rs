@@ -26,8 +26,18 @@
 //! - [`windows_to_csv`] — the windowed time series as one CSV row per
 //!   window: counts, rates, time-averaged queue depth, windowed flow
 //!   percentiles, and per-machine utilization columns.
+//!
+//! The Chrome trace and the CSV are written straight into their output
+//! `String` with `std::fmt::Write`: no JSON document tree, no `String`
+//! per cell. The trace orders its timed events through one
+//! `(ts, kind, index)` record per span, stably sorted on `ts`, and
+//! prints numbers by `serde_json`'s rule (`null` when not finite,
+//! integral values below 9e15 as integers, the rest in shortest
+//! round-trip form). `tests/export_bytes.rs` pins the FNV-1a hash and
+//! length of both outputs, recorded from the `serde_json`-tree renderer
+//! these writers replaced, so a byte that moves fails the build.
 
-use serde::Value;
+use std::fmt::Write as _;
 
 use crate::counters::Counter;
 use crate::memory::MemoryRecorder;
@@ -36,23 +46,6 @@ use crate::window::WindowedMetrics;
 
 /// Seconds of engine time → microseconds of trace time.
 const TRACE_US: f64 = 1e6;
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn num(v: f64) -> Value {
-    Value::Number(v)
-}
-
-fn s(v: &str) -> Value {
-    Value::String(v.to_string())
-}
 
 /// Renders task and machine spans as Chrome trace-event JSON (see the
 /// module docs for the track layout). Events are sorted by timestamp as
@@ -73,6 +66,46 @@ pub fn chrome_trace_with_outages(
     chrome_trace_full(tasks, machines, outages, &[])
 }
 
+/// Which input slice a timed trace event comes from.
+#[derive(Clone, Copy)]
+enum SpanKind {
+    Busy,
+    Down,
+    Task,
+    Breach,
+}
+
+/// A JSON number as `serde_json` writes one: `null` when not finite,
+/// integral values below 9e15 without a fraction (so `-0.0` is `0`),
+/// everything else in Rust's shortest round-trip form.
+fn write_json_number(out: &mut String, n: f64) {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n == n.trunc() && n.abs() < 9.0e15 {
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n}");
+    }
+}
+
+/// `,"key":n` — one field after the first of a JSON object.
+fn write_json_field(out: &mut String, key: &str, n: f64) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    write_json_number(out, n);
+}
+
+/// A machine-row (pid 1) complete event, all but its closing brace.
+fn write_interval(out: &mut String, name: &str, machine: u32, ts: f64, len: f64) {
+    let _ = write!(
+        out,
+        ",{{\"ph\":\"X\",\"pid\":1,\"tid\":{machine},\"name\":\"{name}\""
+    );
+    write_json_field(out, "ts", ts);
+    write_json_field(out, "dur", len * TRACE_US);
+}
+
 /// [`chrome_trace_with_outages`] plus SLO breach marks: each
 /// [`BreachMark`] renders as a global `"ph": "i"` instant event named
 /// `"slo_breach"` carrying the ratio and the crossed bound in its args,
@@ -83,17 +116,6 @@ pub fn chrome_trace_full(
     outages: &[OutageSpan],
     breaches: &[BreachMark],
 ) -> String {
-    let mut events: Vec<Value> = Vec::new();
-    // Track-naming metadata first (ph "M" events are position-free).
-    for (pid, name) in [(1.0, "machines"), (2.0, "tasks")] {
-        events.push(obj(vec![
-            ("ph", s("M")),
-            ("pid", num(pid)),
-            ("tid", num(0.0)),
-            ("name", s("process_name")),
-            ("args", obj(vec![("name", s(name))])),
-        ]));
-    }
     let mut seen_machines: Vec<u32> = tasks
         .iter()
         .map(|t| t.machine)
@@ -102,90 +124,118 @@ pub fn chrome_trace_full(
         .collect();
     seen_machines.sort_unstable();
     seen_machines.dedup();
+
+    // One (ts, kind, index) per timed event, pushed kind by kind; the
+    // stable sort keeps that order among equal timestamps.
+    let mut order: Vec<(f64, SpanKind, usize)> =
+        Vec::with_capacity(machines.len() + outages.len() + tasks.len() + breaches.len());
+    order.extend(
+        machines
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (m.start * TRACE_US, SpanKind::Busy, i)),
+    );
+    order.extend(
+        outages
+            .iter()
+            .enumerate()
+            .map(|(i, o)| (o.start * TRACE_US, SpanKind::Down, i)),
+    );
+    order.extend(
+        tasks
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.start * TRACE_US, SpanKind::Task, i)),
+    );
+    order.extend(
+        breaches
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (b.at * TRACE_US, SpanKind::Breach, i)),
+    );
+    order.sort_by(|a, b| a.0.total_cmp(&b.0));
+
+    // Grown, not sized up front: reserving the whole trace on every
+    // call measured slower end to end than regrowing it (EXPERIMENTS.md,
+    // "Exporter cost").
+    let mut out = String::new();
+    out.push_str("{\"traceEvents\":[");
+    // Track-naming metadata first (ph "M" events are position-free).
+    out.push_str(
+        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"machines\"}},\
+         {\"ph\":\"M\",\"pid\":2,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"tasks\"}}",
+    );
     for &m in &seen_machines {
-        for pid in [1.0, 2.0] {
-            events.push(obj(vec![
-                ("ph", s("M")),
-                ("pid", num(pid)),
-                ("tid", num(m as f64)),
-                ("name", s("thread_name")),
-                ("args", obj(vec![("name", s(&format!("machine {m}")))])),
-            ]));
+        for pid in [1, 2] {
+            let _ = write!(
+                out,
+                ",{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{m},\"name\":\"thread_name\",\
+                 \"args\":{{\"name\":\"machine {m}\"}}}}"
+            );
         }
     }
+    for &(ts, kind, i) in &order {
+        match kind {
+            SpanKind::Busy => {
+                let m = &machines[i];
+                write_interval(&mut out, "busy", m.machine, ts, m.end - m.start);
+            }
+            SpanKind::Down => {
+                let o = &outages[i];
+                write_interval(&mut out, "down", o.machine, ts, o.end - o.start);
+            }
+            SpanKind::Task => {
+                let t = &tasks[i];
+                let _ = write!(
+                    out,
+                    ",{{\"ph\":\"X\",\"pid\":2,\"tid\":{},\"name\":\"task {}\"",
+                    t.machine, t.task
+                );
+                write_json_field(&mut out, "ts", ts);
+                write_json_field(&mut out, "dur", t.service() * TRACE_US);
+                out.push_str(",\"args\":{\"release\":");
+                write_json_number(&mut out, t.release);
+                write_json_field(&mut out, "wait", t.wait());
+                write_json_field(&mut out, "flow", t.flow());
+                out.push('}');
+            }
+            SpanKind::Breach => {
+                let b = &breaches[i];
+                out.push_str(",{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"name\":\"slo_breach\"");
+                write_json_field(&mut out, "ts", ts);
+                out.push_str(",\"s\":\"g\",\"args\":{\"ratio\":");
+                write_json_number(&mut out, b.ratio);
+                write_json_field(&mut out, "bound", b.bound);
+                out.push('}');
+            }
+        }
+        out.push('}');
+    }
+    out.push_str("],\"displayTimeUnit\":\"ms\"}");
+    out
+}
 
-    let mut spans: Vec<Value> = Vec::new();
-    for m in machines {
-        spans.push(obj(vec![
-            ("ph", s("X")),
-            ("pid", num(1.0)),
-            ("tid", num(m.machine as f64)),
-            ("name", s("busy")),
-            ("ts", num(m.start * TRACE_US)),
-            ("dur", num((m.end - m.start) * TRACE_US)),
-        ]));
+/// A metric value as the Prometheus and CSV exporters print one:
+/// integral values below 1e15 without a fraction, everything else in
+/// Rust's shortest round-trip form.
+fn write_value(out: &mut String, v: f64) {
+    if v == v.trunc() && v.abs() < 1e15 {
+        let _ = write!(out, "{}", v as i64);
+    } else {
+        let _ = write!(out, "{v}");
     }
-    for o in outages {
-        spans.push(obj(vec![
-            ("ph", s("X")),
-            ("pid", num(1.0)),
-            ("tid", num(o.machine as f64)),
-            ("name", s("down")),
-            ("ts", num(o.start * TRACE_US)),
-            ("dur", num((o.end - o.start) * TRACE_US)),
-        ]));
-    }
-    for t in tasks {
-        spans.push(obj(vec![
-            ("ph", s("X")),
-            ("pid", num(2.0)),
-            ("tid", num(t.machine as f64)),
-            ("name", s(&format!("task {}", t.task))),
-            ("ts", num(t.start * TRACE_US)),
-            ("dur", num(t.service() * TRACE_US)),
-            (
-                "args",
-                obj(vec![
-                    ("release", num(t.release)),
-                    ("wait", num(t.wait())),
-                    ("flow", num(t.flow())),
-                ]),
-            ),
-        ]));
-    }
-    for b in breaches {
-        spans.push(obj(vec![
-            ("ph", s("i")),
-            ("pid", num(1.0)),
-            ("tid", num(0.0)),
-            ("name", s("slo_breach")),
-            ("ts", num(b.at * TRACE_US)),
-            ("s", s("g")),
-            (
-                "args",
-                obj(vec![("ratio", num(b.ratio)), ("bound", num(b.bound))]),
-            ),
-        ]));
-    }
-    spans.sort_by(|a, b| {
-        let ts = |v: &Value| v.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
-        ts(a).total_cmp(&ts(b))
-    });
-    events.extend(spans);
+}
 
-    let root = obj(vec![
-        ("traceEvents", Value::Array(events)),
-        ("displayTimeUnit", s("ms")),
-    ]);
-    serde_json::to_string(&root).expect("trace serialization is infallible")
+/// `,v` — one CSV cell after the first.
+fn write_cell(out: &mut String, v: f64) {
+    out.push(',');
+    write_value(out, v);
 }
 
 fn fmt_value(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
+    let mut out = String::new();
+    write_value(&mut out, v);
+    out
 }
 
 /// One caller-supplied gauge appended to the exposition — how run-level
@@ -342,33 +392,26 @@ pub fn windows_to_csv(series: &WindowedMetrics) -> String {
          flow_p50,flow_p95,flow_p99",
     );
     for m in 0..machines {
-        out.push_str(&format!(",utilization_m{m}"));
+        let _ = write!(out, ",utilization_m{m}");
     }
     out.push('\n');
     for (k, w) in series.windows().iter().enumerate() {
-        let q = |level: f64| {
-            w.flow_hist
-                .quantile(level)
-                .map(fmt_value)
-                .unwrap_or_default()
-        };
-        out.push_str(&format!(
-            "{k},{},{},{},{},{},{},{},{},{},{},{},{}",
-            fmt_value(k as f64 * width),
-            fmt_value((k + 1) as f64 * width),
-            w.arrivals,
-            w.starts,
-            w.completions,
-            fmt_value(w.arrivals as f64 / width),
-            fmt_value(w.completions as f64 / width),
-            fmt_value(w.mean_queue_depth(width)),
-            fmt_value(w.mean_utilization(width)),
-            q(0.5),
-            q(0.95),
-            q(0.99),
-        ));
-        for u in w.utilization(width) {
-            out.push_str(&format!(",{}", fmt_value(u)));
+        let _ = write!(out, "{k}");
+        write_cell(&mut out, k as f64 * width);
+        write_cell(&mut out, (k + 1) as f64 * width);
+        let _ = write!(out, ",{},{},{}", w.arrivals, w.starts, w.completions);
+        write_cell(&mut out, w.arrivals as f64 / width);
+        write_cell(&mut out, w.completions as f64 / width);
+        write_cell(&mut out, w.mean_queue_depth(width));
+        write_cell(&mut out, w.mean_utilization(width));
+        for level in [0.5, 0.95, 0.99] {
+            out.push(',');
+            if let Some(q) = w.flow_hist.quantile(level) {
+                write_value(&mut out, q);
+            }
+        }
+        for &b in &w.busy {
+            write_cell(&mut out, b / width);
         }
         out.push('\n');
     }
@@ -381,6 +424,7 @@ mod tests {
     use crate::recorder::Recorder;
     use crate::span::{machine_spans, task_spans};
     use crate::window::{WindowConfig, WindowedMetrics};
+    use serde::Value;
 
     fn populated() -> MemoryRecorder {
         let mut r = MemoryRecorder::with_defaults(2);

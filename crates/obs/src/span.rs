@@ -111,7 +111,13 @@ pub fn breach_marks<'a>(events: impl IntoIterator<Item = &'a Event>) -> Vec<Brea
 /// in a truncated ring) are skipped.
 pub fn task_spans<'a>(events: impl IntoIterator<Item = &'a Event>) -> Vec<TaskSpan> {
     // (machine, start, ptime) from dispatch; flow arrives separately.
-    let mut dispatched: HashMap<u64, (u32, f64, f64)> = HashMap::new();
+    // The recorder emits each completion right after its dispatch, so
+    // the latest dispatch waits in `last` and only dispatches still
+    // open when another one arrives spill into the map (never holding
+    // `last`'s task), keeping out-of-order and truncated traces paired
+    // as a plain task → dispatch map would pair them.
+    let mut last: Option<(u64, (u32, f64, f64))> = None;
+    let mut spilled: HashMap<u64, (u32, f64, f64)> = HashMap::new();
     let mut spans = Vec::new();
     for ev in events {
         match *ev {
@@ -121,10 +127,26 @@ pub fn task_spans<'a>(events: impl IntoIterator<Item = &'a Event>) -> Vec<TaskSp
                 start,
                 ptime,
             } => {
-                dispatched.insert(task, (machine, start, ptime));
+                if let Some((prev, d)) = last.take() {
+                    if prev != task {
+                        spilled.insert(prev, d);
+                    }
+                }
+                if !spilled.is_empty() {
+                    spilled.remove(&task);
+                }
+                last = Some((task, (machine, start, ptime)));
             }
             Event::TaskCompletion { task, at, flow, .. } => {
-                if let Some((machine, start, _)) = dispatched.remove(&task) {
+                let dispatch = match last {
+                    Some((t, d)) if t == task => {
+                        last = None;
+                        Some(d)
+                    }
+                    _ if spilled.is_empty() => None,
+                    _ => spilled.remove(&task),
+                };
+                if let Some((machine, start, _)) = dispatch {
                     spans.push(TaskSpan {
                         task,
                         machine,
@@ -157,8 +179,17 @@ pub fn machine_spans<'a>(
     events: impl IntoIterator<Item = &'a Event>,
     horizon: f64,
 ) -> Vec<MachineSpan> {
-    let mut open: HashMap<u32, f64> = HashMap::new();
-    let mut last_service_end: HashMap<u32, f64> = HashMap::new();
+    // Machine ids are dense, so per-machine state lives in vectors
+    // indexed by id, grown on first sight.
+    fn slot(v: &mut Vec<Option<f64>>, machine: u32) -> &mut Option<f64> {
+        let i = machine as usize;
+        if i >= v.len() {
+            v.resize(i + 1, None);
+        }
+        &mut v[i]
+    }
+    let mut open: Vec<Option<f64>> = Vec::new();
+    let mut last_service_end: Vec<Option<f64>> = Vec::new();
     let mut spans = Vec::new();
     for ev in events {
         match *ev {
@@ -166,10 +197,10 @@ pub fn machine_spans<'a>(
                 // The alternation invariant forbids busy-while-busy; a
                 // truncated ring can still surface one, in which case the
                 // earlier (possibly headless) interval is dropped.
-                open.insert(machine, at);
+                *slot(&mut open, machine) = Some(at);
             }
             Event::MachineIdle { machine, at } => {
-                if let Some(start) = open.remove(&machine) {
+                if let Some(start) = open.get_mut(machine as usize).and_then(Option::take) {
                     spans.push(MachineSpan {
                         machine,
                         start,
@@ -183,20 +214,22 @@ pub fn machine_spans<'a>(
                 ptime,
                 ..
             } => {
-                let end = last_service_end.entry(machine).or_insert(f64::NEG_INFINITY);
+                let end = slot(&mut last_service_end, machine).get_or_insert(f64::NEG_INFINITY);
                 *end = end.max(start + ptime);
             }
             _ => {}
         }
     }
-    for (machine, start) in open {
+    for (i, &start) in open.iter().enumerate() {
+        let Some(start) = start else { continue };
         let end = last_service_end
-            .get(&machine)
+            .get(i)
             .copied()
+            .flatten()
             .unwrap_or(horizon)
             .max(start);
         spans.push(MachineSpan {
-            machine,
+            machine: i as u32,
             start,
             end,
         });
@@ -300,6 +333,42 @@ mod tests {
             flow: 2.0,
         }];
         assert!(task_spans(events.iter()).is_empty());
+    }
+
+    #[test]
+    fn interleaved_and_repeated_dispatches_pair_by_task() {
+        let d = |task, start| Event::TaskDispatch {
+            task,
+            machine: task as u32,
+            start,
+            ptime: 1.0,
+        };
+        let c = |task, at| Event::TaskCompletion {
+            task,
+            machine: task as u32,
+            at,
+            flow: 2.0,
+        };
+        // 0 and 1 overlap; 2 is re-dispatched with 5 in between (the
+        // later dispatch wins) and completes twice (the second has no
+        // dispatch left); 5 never completes; 9's dispatch never arrives.
+        let events = [
+            d(0, 0.0),
+            d(1, 1.0),
+            c(1, 2.0),
+            d(2, 3.0),
+            c(0, 1.0),
+            d(5, 3.5),
+            d(2, 4.0),
+            c(9, 5.0),
+            c(2, 5.0),
+            c(2, 6.0),
+        ];
+        let got: Vec<(u64, f64, f64)> = task_spans(events.iter())
+            .iter()
+            .map(|s| (s.task, s.start, s.finish))
+            .collect();
+        assert_eq!(got, vec![(0, 0.0, 1.0), (1, 1.0, 2.0), (2, 4.0, 5.0)]);
     }
 
     #[test]

@@ -77,7 +77,8 @@ pub struct WindowStats {
     /// Task-time spent waiting (released but not yet started) inside the
     /// window; divide by the width for the time-averaged queue depth.
     pub queue_time: f64,
-    /// Busy time accumulated inside the window, per machine.
+    /// Busy time accumulated inside the window, per machine; divide by
+    /// the width for each machine's utilization.
     pub busy: Vec<f64>,
     /// Flow times of the completions that fell in this window.
     pub flow_hist: Histogram,
@@ -98,11 +99,6 @@ impl WindowStats {
     /// Time-averaged number of waiting tasks over the window.
     pub fn mean_queue_depth(&self, width: f64) -> f64 {
         self.queue_time / width
-    }
-
-    /// Per-machine busy fraction of the window.
-    pub fn utilization(&self, width: f64) -> Vec<f64> {
-        self.busy.iter().map(|&b| b / width).collect()
     }
 
     /// Busy fraction averaged over machines.

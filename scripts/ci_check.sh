@@ -46,13 +46,17 @@
 #      SIMD tie scan, and the lane index (a min-tree over the bank's
 #      2^17 cache-line lanes, ~2·next_pow2(⌈m/8⌉) f64 ≈ 2 MiB) at the
 #      million-machine scale
-#  14. bench gate (warn-only): scripts/bench_gate.sh re-runs the benches
+#  14. timeline export smoke: the timeline bin runs the poisson
+#      workload into a temporary directory, and the stage asserts that
+#      trace.json, metrics.prom, windows.csv and snapshot.json were all
+#      written and are non-empty (the exporters run end to end)
+#  15. bench gate (warn-only): scripts/bench_gate.sh re-runs the benches
 #      behind BENCH_PR1/PR3/PR4/PR5/PR6/PR9/PR10.json and reports
 #      medians that drifted past the noise tolerance — it never fails
 #      the build
 #
 # Usage:
-#   scripts/ci_check.sh                 # all fourteen stages
+#   scripts/ci_check.sh                 # all fifteen stages
 #   scripts/ci_check.sh --no-clippy     # skip the lint stage (e.g. when
 #                                       # the toolchain lacks clippy)
 #   scripts/ci_check.sh --no-bench-gate # skip the (slow) bench stage
@@ -140,6 +144,18 @@ echo
 echo "== 2^20-machine smoke run (SoA bank + lane index) =="
 FLOWSCHED_SMOKE_M=1048576 FLOWSCHED_SMOKE_N=200000 \
   cargo run -q --release -p flowsched-bench --bin smoke_scale
+
+echo
+echo "== timeline export smoke (all four files written) =="
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+cargo run -q --release -p flowsched-bench --bin timeline -- --workload poisson --timeline "$tmp"
+for f in trace.json metrics.prom windows.csv snapshot.json; do
+  if [ ! -s "$tmp/$f" ]; then
+    echo "ci_check: timeline did not write a non-empty $f" >&2
+    exit 1
+  fi
+done
 
 if [ "$RUN_BENCH_GATE" = 1 ]; then
   echo
